@@ -167,11 +167,10 @@ def cmd_train(args) -> int:
         for row in history:
             fh.write(json.dumps(row) + "\n")
     last = history[-1]
-    correct = sum(int((lay.forward(w.features)[0][0] > 0.0) == bool(w.label))
-                  for w in ds.train)
+    _, train_acc = layer._evaluate(lay, *layer._as_arrays(ds.train))
     _log(f"group {g.descriptor} variant {args.variant} epochs {args.epochs}")
     _log(f"final train_loss {last['train_loss']:.6f} train_acc "
-         f"{correct / len(ds.train):.4f} val_loss {last['val_loss']:.6f} "
+         f"{train_acc:.4f} val_loss {last['val_loss']:.6f} "
          f"val_acc {last['val_acc']:.4f}")
     _log(f"equivariance_max {last['equivariance_max']:.3e}")
     _log(f"wrote {args.out}")

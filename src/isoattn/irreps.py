@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,10 @@ def _check_member(g: FiniteGroup, irrep: RealIrrep) -> None:
 def isotypic_projector(g: FiniteGroup, irrep: RealIrrep) -> Matrix:
     """Average the action against the character, as in the formula above."""
     _check_member(g, irrep)
+    return _projector(g, irrep)
+
+
+def _projector(g: FiniteGroup, irrep: RealIrrep) -> Matrix:
     k = g.degree
     acc = np.zeros((k, k), dtype=np.float64)
     for h in range(g.order):
@@ -178,6 +183,13 @@ class ProjectorSet:
     window: int
     items: tuple[ProjectorItem, ...]
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The projectors as one read-only (channels, window, window) array."""
+        stack = np.stack([item.projector for item in self.items])
+        stack.setflags(write=False)
+        return stack
+
 
 def projector_set(g: FiniteGroup) -> ProjectorSet:
     """Build every projector of the action, with integer multiplicities.
@@ -185,12 +197,13 @@ def projector_set(g: FiniteGroup) -> ProjectorSet:
     The multiplicity of an irrep is trace(P)/dim; a non-integer value (beyond
     1e-9) means the character data and the action disagree, which is an
     internal error. Irreps that do not occur are kept with an exactly zero
-    projector and flagged absent.
+    projector and flagged absent. The irreps come from real_irreps(g), so
+    they skip isotypic_projector's membership check.
     """
     items = []
     total_dim = 0
     for irrep in real_irreps(g):
-        p = isotypic_projector(g, irrep)
+        p = _projector(g, irrep)
         m_real = float(np.trace(p)) / irrep.dim
         m = round(m_real)
         if abs(m_real - m) > _INTEGRALITY_TOL:

@@ -8,6 +8,10 @@ Forward pass, for a window x of shape (k, d):
     e_c = ||P_c y||_F^2 / k, one channel energy per isotypic projector P_c
     logits = pooled w_out + e w_energy
 
+A stack of windows (B, k, d) runs through the same pass at once: the
+attention is the batched channel-attention kernel of the attention module,
+and the backward pass sums the weight gradients over the stack.
+
 Variants share identical weight shapes so comparisons are parameter-matched:
 
     baseline  plain attention, ignores the projectors
@@ -37,36 +41,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import equivariance_report
+from .attention import (ChannelAttention, channel_attention, channel_attention_vjp,
+                        equivariance_report, project)
 from .irreps import ProjectorSet
-from .numerics import Matrix, Rng, as_matrix, rand_matrix, softmax_rows, softmax_rows_vjp
+from .numerics import Matrix, Rng, as_matrix, rand_matrix
 
 VARIANTS = ("baseline", "pre", "post")
 WEIGHT_NAMES = ("w_q", "w_k", "w_v", "w_out", "w_energy")
+# Windows per kernel pass in _evaluate and metrics.activation_mapping; bounds
+# their memory on large window sets.
+EVAL_CHUNK = 64
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def loss_bce(logits, label):
+    """Stable binary cross-entropy on a single logit per window.
 
-
-def loss_bce(logits, label: int) -> tuple[float, np.ndarray]:
-    """Stable binary cross-entropy on a single logit.
-
-    Returns (loss, gradient wrt the logit). The gradient is sigmoid(z) - y,
-    and the loss is evaluated as max(z, 0) - z y + log(1 + exp(-|z|)) so large
-    logits of either sign stay finite.
+    logits has shape (1,) for one window, with an int label, or (B, 1) for a
+    stack, with B labels. Returns (loss, gradient wrt the logits): a float
+    and shape (1,), or shape (B,) and (B, 1). The gradient is sigmoid(z) - y,
+    and the loss is evaluated as max(z, 0) - z y + log(1 + exp(-|z|)) so
+    large logits of either sign stay finite.
     """
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if logits.shape != (1,):
-        raise ValueError(f"loss_bce: expected a single logit, got shape {logits.shape}")
-    if label not in (0, 1):
-        raise ValueError(f"loss_bce: label must be 0 or 1, got {label!r}")
-    z = float(logits[0])
-    loss = max(z, 0.0) - z * label + math.log1p(math.exp(-abs(z)))
-    return loss, np.array([_sigmoid(z) - label])
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(label)
+    if z.ndim not in (1, 2) or z.shape[-1] != 1:
+        raise ValueError(f"loss_bce: expected a single logit per window, got shape {z.shape}")
+    if y.shape != z.shape[:-1] or not ((y == 0) | (y == 1)).all():
+        raise ValueError(f"loss_bce: expected one label of 0 or 1 per logit, got {label!r}")
+    z = z[..., 0]
+    t = np.exp(-np.abs(z))
+    loss = np.maximum(z, 0.0) - z * y + np.log1p(t)
+    # sigmoid(z) from exp(-|z|), which cannot overflow.
+    sigmoid = np.where(z >= 0.0, 1.0, t) / (1.0 + t)
+    grad = (sigmoid - y)[..., None]
+    return (float(loss), grad) if z.ndim == 0 else (loss, grad)
 
 
 class WindowAttentionLayer:
@@ -102,8 +110,7 @@ class WindowAttentionLayer:
         # Row c is P_c / k flattened, so energies = rows @ vec(y y^T): since P_c
         # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2.
         kwin = projectors.window
-        self._energy_rows = np.stack([item.projector.reshape(-1)
-                                      for item in projectors.items]) / kwin
+        self._energy_rows = projectors.stack.reshape(len(projectors.items), -1) / kwin
 
     @classmethod
     def random(cls, projectors: ProjectorSet, feature_dim: int, n_classes: int,
@@ -129,85 +136,69 @@ class WindowAttentionLayer:
     def n_classes(self) -> int:
         return self.w_out.shape[1]
 
-    def _channel_projectors(self):
-        # None stands for the identity projector and skips two matmuls.
-        if self.variant == "pre":
-            return [(item.irrep.label, item.projector) for item in self.projectors.items]
-        return [("all", None)]
+    def _attend(self, x) -> tuple[np.ndarray, ChannelAttention]:
+        """The channel stack (B, C, k, d) of the windows in x and the kernel's
+        attention over it. Projecting x before the weight maps is the same as
+        projecting q, k and v: P_c (x w) = (P_c x) w."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-2:] != (self.window, self.feature_dim) or x.ndim not in (2, 3) \
+                or x.shape[0] < 1:
+            raise ValueError(f"forward: expected {self.window}x{self.feature_dim} windows, "
+                             f"got shape {x.shape}")
+        xs = x.reshape(-1, self.window, self.feature_dim)
+        px = project(self.projectors.stack if self.variant == "pre" else None, xs)
+        return px, channel_attention(px @ self.w_q, px @ self.w_k, px @ self.w_v)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
-        x = as_matrix(x)
-        if x.shape != (self.window, self.feature_dim):
-            raise ValueError(f"forward: expected {self.window}x{self.feature_dim} window, "
-                             f"got {x.shape}")
-        q = x @ self.w_q
-        k = x @ self.w_k
-        v = x @ self.w_v
-        scale = math.sqrt(self.feature_dim)
-        y = np.zeros_like(v)
-        channels = []
-        for label, p in self._channel_projectors():
-            if p is None:
-                qp, kp, vp = q, k, v
-            else:
-                qp, kp, vp = p @ q, p @ k, p @ v
-            wts = softmax_rows((qp @ kp.T) / scale)
-            y = y + wts @ vp
-            channels.append((label, p, qp, kp, vp, wts))
-        pooled = y.sum(axis=0) / self.window
-        energy = self._energy_rows @ (y @ y.T).reshape(-1)
+        """Logits of one window (k, d), shape (n_classes,), or of a stack
+        (B, k, d), shape (B, n_classes). The cache entries y, pooled and
+        energy carry the same leading window axis as the input."""
+        px, att = self._attend(x)
+        y = att.total
+        pooled = y.sum(axis=1) / self.window
+        energy = (y @ y.swapaxes(1, 2)).reshape(len(y), -1) @ self._energy_rows.T
         logits = pooled @ self.w_out + energy @ self.w_energy
-        cache = {"layer": self, "x": x, "q": q, "k": k, "v": v,
-                 "channels": channels, "y": y, "pooled": pooled, "energy": energy}
+        if np.ndim(x) == 2:
+            logits, y, pooled, energy = logits[0], y[0], pooled[0], energy[0]
+        cache = {"layer": self, "px": px, "attention": att, "y": y, "pooled": pooled,
+                 "energy": energy}
         return logits, cache
 
     def window_map(self, x) -> Matrix:
         """The pre-pooling window-to-window map; equivariant for all variants."""
-        _, cache = self.forward(x)
-        return cache["y"]
+        return self._attend(x)[1].total.reshape(np.shape(x))
 
     def backward(self, cache: dict, dlogits) -> dict[str, Matrix]:
-        """Gradients of the five weight matrices given d(loss)/d(logits)."""
+        """Gradients of the five weight matrices given d(loss)/d(logits),
+        summed over the windows of the cache."""
         if cache.get("layer") is not self:
             raise ValueError("backward: cache does not belong to this layer")
-        dlogits = np.asarray(dlogits, dtype=np.float64).reshape(-1)
-        if dlogits.shape != (self.n_classes,):
-            raise ValueError(f"backward: dlogits must have shape ({self.n_classes},)")
-        x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
-        kwin = self.window
-        scale = math.sqrt(self.feature_dim)
+        px = cache["px"]
+        b, _, kwin, d = px.shape
+        dlogits = np.asarray(dlogits, dtype=np.float64)
+        if dlogits.size != b * self.n_classes:
+            raise ValueError(f"backward: dlogits must have shape "
+                             f"{cache['pooled'].shape[:-1] + (self.n_classes,)}")
+        dlogits = dlogits.reshape(b, self.n_classes)
+        y = cache["y"].reshape(b, kwin, d)
 
-        d_wout = cache["pooled"][:, None] * dlogits
-        d_wenergy = cache["energy"][:, None] * dlogits
-        dpooled = self.w_out @ dlogits
-        denergy = self.w_energy @ dlogits
+        d_wout = cache["pooled"].reshape(b, d).T @ dlogits
+        d_wenergy = cache["energy"].reshape(b, -1).T @ dlogits
+        dpooled = dlogits @ self.w_out.T
+        denergy = dlogits @ self.w_energy.T
         # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
         # e_c = ||P_c y||^2 / k adds 2 (sum_c denergy_c P_c / k) y.
-        dy = 2.0 * (denergy @ self._energy_rows).reshape(kwin, kwin) @ cache["y"] \
-            + dpooled / kwin
+        dy = 2.0 * (denergy @ self._energy_rows).reshape(b, kwin, kwin) @ y \
+            + dpooled[:, None, :] / kwin
+        # qp = px w_q, so d w_q sums px^T dqp over windows and channels.
+        dqp, dkp, dvp = channel_attention_vjp(cache["attention"], dy)
+        pxt = px.reshape(-1, d).T
+        return {"w_q": pxt @ dqp.reshape(-1, d), "w_k": pxt @ dkp.reshape(-1, d),
+                "w_v": pxt @ dvp.reshape(-1, d), "w_out": d_wout, "w_energy": d_wenergy}
 
-        dq = np.zeros_like(q)
-        dk = np.zeros_like(k)
-        dv = np.zeros_like(v)
-        for _, p, qp, kp, vp, wts in cache["channels"]:
-            dwts = dy @ vp.T
-            dvp = wts.T @ dy
-            ds = softmax_rows_vjp(wts, dwts) / scale
-            dqp = ds @ kp
-            dkp = ds.T @ qp
-            if p is None:
-                dq += dqp
-                dk += dkp
-                dv += dvp
-            else:
-                # Projectors are symmetric, so P^T = P.
-                dq += p @ dqp
-                dk += p @ dkp
-                dv += p @ dvp
-        return {"w_q": x.T @ dq, "w_k": x.T @ dk, "w_v": x.T @ dv, "w_out": d_wout,
-                "w_energy": d_wenergy}
-
-    def loss_and_grads(self, x, label: int) -> tuple[float, dict[str, Matrix]]:
+    def loss_and_grads(self, x, label):
+        """Loss and weight gradients of one window, or per-window losses (B,)
+        and batch-summed gradients of a stack with B labels."""
         logits, cache = self.forward(x)
         loss, dlogits = loss_bce(logits, label)
         return loss, self.backward(cache, dlogits)
@@ -255,22 +246,34 @@ class TrainConfig:
     tracker_trials: int = 2
 
 
-def _as_sample(item) -> tuple[Matrix, int]:
-    if hasattr(item, "features") and hasattr(item, "label"):
-        return as_matrix(item.features), int(item.label)
-    feats, label = item
-    return as_matrix(feats), int(label)
+def _as_arrays(items) -> tuple[np.ndarray, np.ndarray]:
+    """Window stack (N, k, d) and labels (N,) of windows or (features, label) pairs."""
+    feats, labels = [], []
+    for item in items:
+        if hasattr(item, "features") and hasattr(item, "label"):
+            f, label = item.features, item.label
+        else:
+            f, label = item
+        feats.append(as_matrix(f))
+        labels.append(int(label))
+    if not feats:
+        return np.empty((0, 0, 0)), np.empty(0, dtype=np.int64)
+    return np.stack(feats), np.array(labels, dtype=np.int64)
 
 
-def _evaluate(layer: WindowAttentionLayer, samples) -> tuple[float, float]:
-    total = 0.0
+def _evaluate(layer: WindowAttentionLayer, xs: np.ndarray,
+              labels: np.ndarray) -> tuple[float, float]:
+    """Mean loss and accuracy over a window stack, one forward pass per
+    EVAL_CHUNK windows."""
+    losses = []
     correct = 0
-    for feats, label in samples:
-        logits, _ = layer.forward(feats)
-        loss, _ = loss_bce(logits, label)
-        total += loss
-        correct += int((logits[0] > 0.0) == bool(label))
-    return total / len(samples), correct / len(samples)
+    for start in range(0, len(xs), EVAL_CHUNK):
+        chunk = slice(start, start + EVAL_CHUNK)
+        logits, _ = layer.forward(xs[chunk])
+        loss, _ = loss_bce(logits, labels[chunk])
+        losses.append(loss)
+        correct += int(((logits[:, 0] > 0.0) == (labels[chunk] == 1)).sum())
+    return math.fsum(np.concatenate(losses)) / len(xs), correct / len(xs)
 
 
 def train(layer: WindowAttentionLayer, train_data, val_data,
@@ -285,36 +288,28 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
         raise ValueError(f"train: epochs must be >= 1, got {cfg.epochs}")
     if cfg.batch_size < 1:
         raise ValueError(f"train: batch_size must be >= 1, got {cfg.batch_size}")
-    train_samples = [_as_sample(s) for s in train_data]
-    val_samples = [_as_sample(s) for s in val_data]
-    if not train_samples or not val_samples:
+    train_x, train_y = _as_arrays(train_data)
+    val_x, val_y = _as_arrays(val_data)
+    if not len(train_x) or not len(val_x):
         raise ValueError("train: empty train or validation split")
 
     shuffle_rng = Rng(cfg.seed).derive(1)
     history = []
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(train_samples))
+        order = shuffle_rng.permutation(len(train_x))
         # fsum keeps the reported loss independent of the shuffle order.
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
-            # The first sample's fresh gradient arrays accumulate the rest.
-            sums = None
-            for feats, label in batch:
-                loss, grads = layer.loss_and_grads(feats, label)
-                epoch_losses.append(loss)
-                if sums is None:
-                    sums = grads
-                    continue
-                for name in WEIGHT_NAMES:
-                    sums[name] += grads[name]
+            batch = order[start:start + cfg.batch_size]
+            losses, grads = layer.loss_and_grads(train_x[batch], train_y[batch])
+            epoch_losses.append(losses)
             for name in WEIGHT_NAMES:
-                getattr(layer, name)[...] -= cfg.learning_rate * sums[name] / len(batch)
-        train_loss = math.fsum(epoch_losses) / len(train_samples)
+                getattr(layer, name)[...] -= cfg.learning_rate * grads[name] / len(batch)
+        train_loss = math.fsum(np.concatenate(epoch_losses)) / len(train_x)
         if not math.isfinite(train_loss):
             raise RuntimeError(f"train: loss diverged at epoch {epoch} "
                                f"(train loss {train_loss!r})")
-        val_loss, val_acc = _evaluate(layer, val_samples)
+        val_loss, val_acc = _evaluate(layer, val_x, val_y)
         if not math.isfinite(val_loss):
             raise RuntimeError(f"train: loss diverged at epoch {epoch} "
                                f"(validation loss {val_loss!r})")

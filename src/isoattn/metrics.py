@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import equivariance_report
+from .attention import channel_weights, equivariance_report, project
 from .groups import FiniteGroup
-from .numerics import Rng, as_matrix, softmax_rows
+from .layer import EVAL_CHUNK
+from .numerics import Rng, as_matrix
 
 _ZERO_ROW_TOL = 1e-12
 
@@ -86,29 +86,29 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     backgrounds = [_window_features(w) for w in background_windows]
     if not motifs or not backgrounds:
         raise ValueError("activation_mapping: both window sets must be non-empty")
-    scale = math.sqrt(layer.feature_dim)
+    stack = layer.projectors.stack
 
-    def set_mass(proj, windows) -> float | None:
-        masses = []
-        for x in windows:
-            q = x @ layer.w_q
-            k = x @ layer.w_k
-            qp = q if proj is None else proj @ q
-            kp = k if proj is None else proj @ k
-            valid_rows = np.abs(qp).max(axis=1) > _ZERO_ROW_TOL
-            valid_cols = np.abs(kp).max(axis=1) > _ZERO_ROW_TOL
-            if not valid_rows.any() or not valid_cols.any():
-                continue
-            wts = softmax_rows((qp @ kp.T) / scale)
-            row_masses = wts[np.ix_(valid_rows, valid_cols)].sum(axis=1)
-            masses.append(float(row_masses.mean()))
-        return float(np.mean(masses)) if masses else None
+    def set_masses(windows) -> list[float | None]:
+        masses, counted = [], []
+        for start in range(0, len(windows), EVAL_CHUNK):
+            px = project(stack, np.stack(windows[start:start + EVAL_CHUNK]))
+            qp, kp = px @ layer.w_q, px @ layer.w_k
+            wts = channel_weights(qp, kp)
+            valid_rows = np.abs(qp).max(axis=-1) > _ZERO_ROW_TOL  # (B, C, k)
+            valid_cols = np.abs(kp).max(axis=-1) > _ZERO_ROW_TOL
+            row_masses = (wts * valid_cols[:, :, None, :]).sum(axis=-1)
+            n_rows = valid_rows.sum(axis=-1)
+            masses.append((row_masses * valid_rows).sum(axis=-1) / np.maximum(n_rows, 1))
+            # A window counts for a channel when it has a valid row and column.
+            counted.append((n_rows > 0) & valid_cols.any(axis=-1))  # (B, C)
+        masses, counted = np.concatenate(masses), np.concatenate(counted)
+        return [float(masses[counted[:, c], c].mean()) if counted[:, c].any() else None
+                for c in range(len(stack))]
 
     rows = []
-    for item in layer.projectors.items:
-        proj = item.projector
-        motif_mass = set_mass(proj, motifs)
-        background_mass = set_mass(proj, backgrounds)
+    for item, motif_mass, background_mass in zip(layer.projectors.items,
+                                                 set_masses(motifs),
+                                                 set_masses(backgrounds)):
         ratio = None
         if motif_mass is not None and background_mass is not None:
             ratio = motif_mass / max(background_mass, 1e-12)

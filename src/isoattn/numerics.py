@@ -1,7 +1,7 @@
 """Dense float64 matrix kernels and the deterministic seeded generator.
 
-Everything downstream works on plain 2-D numpy arrays in double precision.
-The helpers here add the shape and finiteness checks the rest of the package
+Everything downstream works on 2-D numpy arrays in double precision, or on
+stacks of them along leading axes. The helpers here add the shape and finiteness checks the rest of the package
 relies on, so callers can assume clean inputs after any public call.
 """
 
@@ -23,69 +23,46 @@ def as_matrix(values) -> Matrix:
     return m
 
 
-def matmul(a, b) -> Matrix:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(m) -> Matrix:
-    return as_matrix(m).T
-
-
-def add(a, b) -> Matrix:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return a + b
-
-
-def sub(a, b) -> Matrix:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"sub: shapes differ, {a.shape} vs {b.shape}")
-    return a - b
-
-
-def scale(m, c: float) -> Matrix:
-    return as_matrix(m) * float(c)
-
-
 def frobenius_sq(m) -> float:
     """Sum of squared entries (squared Frobenius norm)."""
     m = np.asarray(m, dtype=np.float64)
     return float((m * m).sum())
 
 
-def softmax_rows(m) -> Matrix:
+def _as_stack(values) -> np.ndarray:
+    """Coerce to a float64 array of rank >= 2 with no empty axis."""
+    m = np.asarray(values, dtype=np.float64)
+    if m.ndim < 2 or 0 in m.shape:
+        raise ValueError(f"expected a non-empty stack of matrices, got shape {m.shape}")
+    return m
+
+
+def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction.
 
-    Safe for entries anywhere in the finite float64 range; each output row is
-    nonnegative and sums to 1. Non-finite input is rejected.
+    Acts on the last axis, so a stack (..., rows, cols) of matrices is
+    normalized matrix by matrix. Safe for entries anywhere in the finite
+    float64 range; each output row is nonnegative and sums to 1. Non-finite
+    input is rejected.
     """
-    m = as_matrix(m)
+    m = _as_stack(m)
     if not np.isfinite(m).all():
         raise ValueError("softmax_rows: input contains NaN or Inf")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_rows_vjp(weights: Matrix, grad: Matrix) -> Matrix:
-    """Backward of softmax_rows in closed form.
+def softmax_rows_vjp(weights, grad) -> np.ndarray:
+    """Backward of softmax_rows in closed form, on stacks as well.
 
     Per row p with upstream gradient g: p * (g - <g, p>), which is the action
     of the Jacobian diag(p) - p p^T.
     """
-    weights = as_matrix(weights)
-    grad = as_matrix(grad)
+    weights = _as_stack(weights)
+    grad = _as_stack(grad)
     if weights.shape != grad.shape:
         raise ValueError(f"softmax_rows_vjp: shapes differ, {weights.shape} vs {grad.shape}")
-    dot = (grad * weights).sum(axis=1, keepdims=True)
+    dot = (grad * weights).sum(axis=-1, keepdims=True)
     return weights * (grad - dot)
 
 

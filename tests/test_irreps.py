@@ -132,6 +132,32 @@ def test_projector_rejects_foreign_irrep():
         isotypic_projector(g, fake)
 
 
+def test_projector_set_reads_the_character_table_once(monkeypatch):
+    import isoattn.irreps as irreps_module
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real_irreps(g)
+
+    monkeypatch.setattr(irreps_module, "real_irreps", counted)
+    ps = projector_set(dihedral_group(6))
+    assert len(calls) == 1
+    for item in ps.items:
+        assert np.array_equal(item.projector,
+                              isotypic_projector(dihedral_group(6), item.irrep)
+                              if not item.absent else np.zeros((6, 6)))
+
+
+def test_projector_stack_matches_items():
+    ps = projector_set(symmetric_group(4))
+    assert ps.stack.shape == (len(ps.items), 4, 4)
+    assert not ps.stack.flags.writeable
+    for item, p in zip(ps.items, ps.stack):
+        assert np.array_equal(item.projector, p)
+
+
 def test_multiplicities_z2_reversal():
     ps = projector_set(cyclic_group(2))
     mults = {item.irrep.label: item.multiplicity for item in ps.items}

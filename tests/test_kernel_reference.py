@@ -1,0 +1,265 @@
+"""The batched channel-attention kernel against the per-window reference.
+
+The reference functions below are the per-window loops the library used
+before the kernel existed: one window, one channel and one projector matmul
+at a time. Every batched result must match them to within 1e-12, relative to
+the size of the compared values.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoattn.attention import decompose_post, decompose_pre
+from isoattn.groups import from_descriptor
+from isoattn.irreps import projector_set
+from isoattn.layer import (
+    VARIANTS,
+    WEIGHT_NAMES,
+    TrainConfig,
+    WindowAttentionLayer,
+    train,
+)
+from isoattn.metrics import activation_mapping
+from isoattn.numerics import Rng, rand_matrix, softmax_rows, softmax_rows_vjp
+
+TOL = 1e-12
+DESCRIPTORS = ("mirror:6", "dihedral:4", "symmetric:4")
+PROJECTORS = {desc: projector_set(from_descriptor(desc)) for desc in DESCRIPTORS}
+BATCH_SIZES = (1, 5, 16)
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    assert float(np.abs(actual - expected).max(initial=0.0)) <= TOL * scale
+
+
+# ---------- per-window reference ----------
+
+def ref_attention(q, k, v, p):
+    qp, kp, vp = (q, k, v) if p is None else (p @ q, p @ k, p @ v)
+    wts = softmax_rows((qp @ kp.T) / math.sqrt(q.shape[1]))
+    return qp, kp, vp, wts, wts @ vp
+
+
+def ref_projectors(lay):
+    if lay.variant == "pre":
+        return [item.projector for item in lay.projectors.items]
+    return [None]
+
+
+def ref_forward(lay, x):
+    q, k, v = x @ lay.w_q, x @ lay.w_k, x @ lay.w_v
+    y = np.zeros_like(v)
+    channels = []
+    for p in ref_projectors(lay):
+        qp, kp, vp, wts, out = ref_attention(q, k, v, p)
+        y = y + out
+        channels.append((p, qp, kp, vp, wts))
+    kwin = lay.window
+    pooled = y.sum(axis=0) / kwin
+    energy = np.array([((item.projector @ y) ** 2).sum() / kwin
+                       for item in lay.projectors.items])
+    logits = pooled @ lay.w_out + energy @ lay.w_energy
+    return logits, {"x": x, "channels": channels, "y": y, "pooled": pooled,
+                    "energy": energy}
+
+
+def ref_backward(lay, cache, dlogits):
+    kwin = lay.window
+    scale = math.sqrt(lay.feature_dim)
+    dpooled = lay.w_out @ dlogits
+    denergy = lay.w_energy @ dlogits
+    dy = dpooled / kwin + sum(2.0 * a * (item.projector @ cache["y"]) / kwin
+                              for a, item in zip(denergy, lay.projectors.items))
+    dq = dk = dv = 0.0
+    for p, qp, kp, vp, wts in cache["channels"]:
+        ds = softmax_rows_vjp(wts, dy @ vp.T) / scale
+        dqp, dkp, dvp = ds @ kp, ds.T @ qp, wts.T @ dy
+        if p is not None:
+            dqp, dkp, dvp = p @ dqp, p @ dkp, p @ dvp
+        dq, dk, dv = dq + dqp, dk + dkp, dv + dvp
+    x = cache["x"]
+    return {"w_q": x.T @ dq, "w_k": x.T @ dk, "w_v": x.T @ dv,
+            "w_out": np.outer(cache["pooled"], dlogits),
+            "w_energy": np.outer(cache["energy"], dlogits)}
+
+
+def ref_loss_bce(logits, label):
+    z = float(logits[0])
+    loss = max(z, 0.0) - z * label + math.log1p(math.exp(-abs(z)))
+    return loss, np.array([1.0 / (1.0 + math.exp(-z)) - label])
+
+
+def ref_train(lay, samples, val, cfg):
+    """The per-window SGD loop: gradients summed window by window."""
+    shuffle_rng = Rng(cfg.seed).derive(1)
+    history = []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(samples))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [samples[i] for i in order[start:start + cfg.batch_size]]
+            sums = {name: 0.0 for name in WEIGHT_NAMES}
+            for x, label in batch:
+                logits, cache = ref_forward(lay, x)
+                loss, dlogits = ref_loss_bce(logits, label)
+                losses.append(loss)
+                grads = ref_backward(lay, cache, dlogits)
+                for name in WEIGHT_NAMES:
+                    sums[name] = sums[name] + grads[name]
+            for name in WEIGHT_NAMES:
+                getattr(lay, name)[...] -= cfg.learning_rate * sums[name] / len(batch)
+        val_losses = [ref_loss_bce(ref_forward(lay, x)[0], label)[0] for x, label in val]
+        history.append((math.fsum(losses) / len(samples), math.fsum(val_losses) / len(val)))
+    return history
+
+
+def ref_set_mass(lay, proj, windows):
+    masses = []
+    for x in windows:
+        qp, kp = proj @ (x @ lay.w_q), proj @ (x @ lay.w_k)
+        valid_rows = np.abs(qp).max(axis=1) > 1e-12
+        valid_cols = np.abs(kp).max(axis=1) > 1e-12
+        if not valid_rows.any() or not valid_cols.any():
+            continue
+        wts = softmax_rows((qp @ kp.T) / math.sqrt(lay.feature_dim))
+        masses.append(float(wts[np.ix_(valid_rows, valid_cols)].sum(axis=1).mean()))
+    return float(np.mean(masses)) if masses else None
+
+
+# ---------- inputs ----------
+
+def make_layer(desc, variant, dim, seed):
+    rng = Rng(seed)
+    lay = WindowAttentionLayer.random(PROJECTORS[desc], dim, 1, variant, rng)
+    lay.w_energy[...] = rand_matrix(rng, *lay.w_energy.shape, 1.0)
+    return lay
+
+
+def make_windows(lay, count, seed):
+    rng = Rng(seed).derive(1)
+    return np.stack([rand_matrix(rng, lay.window, lay.feature_dim, 1.0)
+                     for _ in range(count)])
+
+
+cases = st.tuples(st.sampled_from(DESCRIPTORS), st.sampled_from(VARIANTS),
+                  st.integers(2, 5), st.integers(0, 2**32 - 1))
+
+
+# ---------- tests ----------
+
+@SETTINGS
+@given(case=cases, batch=st.sampled_from(BATCH_SIZES))
+def test_batched_forward_and_gradients_match_reference(case, batch):
+    desc, variant, dim, seed = case
+    lay = make_layer(desc, variant, dim, seed)
+    xs = make_windows(lay, batch, seed)
+    labels = Rng(seed).derive(2).integers(2, size=batch)
+    logits, cache = lay.forward(xs)
+    losses, grads = lay.loss_and_grads(xs, labels)
+    ref_sums = {name: 0.0 for name in WEIGHT_NAMES}
+    for i, x in enumerate(xs):
+        ref_logits, ref_cache = ref_forward(lay, x)
+        assert_close(logits[i], ref_logits)
+        for key in ("y", "pooled", "energy"):
+            assert_close(cache[key][i], ref_cache[key])
+        ref_loss, dlogits = ref_loss_bce(ref_logits, labels[i])
+        assert_close(losses[i], ref_loss)
+        for name, g in ref_backward(lay, ref_cache, dlogits).items():
+            ref_sums[name] = ref_sums[name] + g
+    for name in WEIGHT_NAMES:
+        assert_close(grads[name], ref_sums[name])
+
+
+@SETTINGS
+@given(case=cases)
+def test_single_window_is_the_batch_of_one(case):
+    desc, variant, dim, seed = case
+    lay = make_layer(desc, variant, dim, seed)
+    x = make_windows(lay, 1, seed)
+    logits, cache = lay.forward(x[0])
+    batch_logits, batch_cache = lay.forward(x)
+    assert np.array_equal(logits, batch_logits[0])
+    for key in ("y", "pooled", "energy"):
+        assert np.array_equal(cache[key], batch_cache[key][0])
+    assert np.array_equal(lay.window_map(x[0]), cache["y"])
+    loss, grads = lay.loss_and_grads(x[0], 1)
+    batch_loss, batch_grads = lay.loss_and_grads(x, np.array([1]))
+    assert isinstance(loss, float) and loss == batch_loss[0]
+    for name in WEIGHT_NAMES:
+        assert np.array_equal(grads[name], batch_grads[name])
+
+
+@SETTINGS
+@given(desc=st.sampled_from(DESCRIPTORS), dim=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompositions_match_reference(desc, dim, seed):
+    ps = PROJECTORS[desc]
+    rng = Rng(seed)
+    q, k, v = (rand_matrix(rng, ps.window, dim, 2.0) for _ in range(3))
+    pre = decompose_pre(q, k, v, ps)
+    total = 0.0
+    for item, ch in zip(ps.items, pre.channels):
+        _, _, _, wts, out = ref_attention(q, k, v, item.projector)
+        assert ch.label == item.irrep.label
+        assert_close(ch.output, out)
+        assert_close(ch.weights, wts)
+        total = total + out
+    assert_close(pre.total, total)
+    post = decompose_post(q, k, v, ps)
+    _, _, _, wts, plain = ref_attention(q, k, v, None)
+    assert_close(post.total, plain)
+    for item, ch in zip(ps.items, post.channels):
+        assert ch.label == item.irrep.label
+        assert_close(ch.output, item.projector @ plain)
+        assert_close(ch.weights, wts)
+
+
+@SETTINGS
+@given(case=cases, motifs=st.sampled_from(BATCH_SIZES),
+       backgrounds=st.sampled_from(BATCH_SIZES))
+def test_activation_mapping_matches_reference(case, motifs, backgrounds):
+    desc, variant, dim, seed = case
+    lay = make_layer(desc, variant, dim, seed)
+    motif_windows = list(make_windows(lay, motifs, seed))
+    background_windows = list(make_windows(lay, backgrounds, seed + 1))
+    # A palindromic window gives the channels that kill it no valid rows, and
+    # a window with one mirrored pair of rows gives some channels a few.
+    motif_windows[0] = (motif_windows[0] + motif_windows[0][::-1]) / 2.0
+    background_windows[0][0] = background_windows[0][-1]
+    report = activation_mapping(lay, motif_windows, background_windows)
+    for item, row in zip(lay.projectors.items, report.rows):
+        for mass, windows in ((row.motif_mass, motif_windows),
+                              (row.background_mass, background_windows)):
+            expected = ref_set_mass(lay, item.projector, windows)
+            if expected is None:
+                assert mass is None
+            else:
+                assert_close(mass, expected)
+
+
+def test_train_with_ragged_last_batch_matches_reference():
+    # 37 windows at batch size 16 leave a last mini-batch of 5.
+    for desc in DESCRIPTORS:
+        for variant in VARIANTS:
+            lay = make_layer(desc, variant, 3, 7)
+            ref = make_layer(desc, variant, 3, 7)
+            xs = make_windows(lay, 45, 8)
+            labels = Rng(9).integers(2, size=45)
+            samples = list(zip(xs[:37], labels[:37]))
+            val = list(zip(xs[37:], labels[37:]))
+            cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=10, batch_size=16,
+                              tracker_trials=1)
+            history = train(lay, samples, val, cfg)
+            for row, (ref_train_loss, ref_val_loss) in zip(history,
+                                                          ref_train(ref, samples, val, cfg)):
+                assert_close(row["train_loss"], ref_train_loss)
+                assert_close(row["val_loss"], ref_val_loss)
+            for name in WEIGHT_NAMES:
+                assert_close(getattr(lay, name), getattr(ref, name))
