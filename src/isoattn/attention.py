@@ -19,8 +19,9 @@ their weights are uniform rows and their output is exactly zero.
 Every attention in the package runs through one batched kernel: `project`
 splits a stack of windows into channels, `channel_attention` attends in all
 channels of all windows with batched matmuls, and `channel_attention_vjp`
-is its closed-form backward. The single-window functions below, the layer's
-forward and backward passes and `metrics.activation_mapping` all call it.
+is its closed-form backward. The attention functions below (which take one
+window or a stack), the layer's forward and backward passes and
+`metrics.activation_mapping` all call it.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .numerics import (Matrix, Rng, as_matrix, frobenius_sq, rand_matrix, softma
                        softmax_rows_vjp)
 
 
-def _check_qkv(q, k, v) -> tuple[Matrix, Matrix, Matrix]:
-    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
-    if not (q.shape == k.shape == v.shape):
-        raise ValueError(f"attention: q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
+def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    q, k, v = (np.asarray(m, dtype=np.float64) for m in (q, k, v))
+    if q.ndim not in (2, 3) or 0 in q.shape or not (q.shape == k.shape == v.shape):
+        raise ValueError(f"attention: expected equal (k, d) or (B, k, d) q/k/v, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
     return q, k, v
 
 
@@ -98,38 +100,46 @@ def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray):
 
 
 def _channels(q, k, v, stack) -> ChannelAttention:
-    # One window through the kernel.
-    return channel_attention(*(project(stack, m[None]) for m in (q, k, v)))
+    # One window (k, d) or a stack (B, k, d) through the kernel.
+    return channel_attention(*(project(stack, m.reshape(-1, *m.shape[-2:])) for m in (q, k, v)))
 
 
-# ---------- single-window attention and decompositions ----------
+def _like(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # A kernel result (B, ...) with the leading window axis of the input q.
+    return a[0] if q.ndim == 2 else a
+
+
+# ---------- attention and decompositions of one window or a stack ----------
+#
+# q, k and v are one window (k, d) or a stack (B, k, d). Outputs, channel
+# outputs and channel weights carry the same leading axis as the input.
 
 def attention_weights(q: Matrix, k: Matrix) -> Matrix:
     """Row-stochastic weights softmax_rows(q k^T / sqrt(d))."""
     return channel_weights(q[None, None], k[None, None])[0, 0]
 
 
-def attention(q, k, v) -> Matrix:
+def attention(q, k, v) -> np.ndarray:
     q, k, v = _check_qkv(q, k, v)
-    return _channels(q, k, v, None).total[0]
+    return _like(_channels(q, k, v, None).total, q)
 
 
 @dataclass(frozen=True, eq=False)
 class Channel:
     label: str
-    output: Matrix
-    weights: Matrix
+    output: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class DecompositionOutput:
-    total: Matrix
+    total: np.ndarray
     channels: tuple[Channel, ...]
 
 
-def _check_window(q: Matrix, ps: ProjectorSet) -> None:
-    if q.shape[0] != ps.window:
-        raise ValueError(f"decomposition: window is {ps.window}, input has {q.shape[0]} rows")
+def _check_window(q: np.ndarray, ps: ProjectorSet) -> None:
+    if q.shape[-2] != ps.window:
+        raise ValueError(f"decomposition: window is {ps.window}, input has {q.shape[-2]} rows")
 
 
 def decompose_post(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
@@ -137,11 +147,11 @@ def decompose_post(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
     q, k, v = _check_qkv(q, k, v)
     _check_window(q, ps)
     att = _channels(q, k, v, None)
-    total, weights = att.total[0], att.weights[0, 0]
-    outputs = ps.stack @ total
-    channels = tuple(Channel(item.irrep.label, out, weights)
-                     for item, out in zip(ps.items, outputs))
-    return DecompositionOutput(total=total, channels=channels)
+    weights = _like(att.weights[:, 0], q)
+    outputs = ps.stack @ att.total[:, None]
+    channels = tuple(Channel(item.irrep.label, _like(outputs[:, c], q), weights)
+                     for c, item in enumerate(ps.items))
+    return DecompositionOutput(total=_like(att.total, q), channels=channels)
 
 
 def decompose_pre(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
@@ -149,22 +159,41 @@ def decompose_pre(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
     q, k, v = _check_qkv(q, k, v)
     _check_window(q, ps)
     att = _channels(q, k, v, ps.stack)
-    channels = tuple(Channel(item.irrep.label, out, wts)
-                     for item, out, wts in zip(ps.items, att.outputs[0], att.weights[0]))
-    return DecompositionOutput(total=att.total[0], channels=channels)
+    channels = tuple(Channel(item.irrep.label, _like(att.outputs[:, c], q),
+                             _like(att.weights[:, c], q))
+                     for c, item in enumerate(ps.items))
+    return DecompositionOutput(total=_like(att.total, q), channels=channels)
+
+
+# ---------- equivariance of window maps ----------
+#
+# A window map fn takes a stack of windows (B, k, d) to a stack of the same
+# shape, window by window; every map in the package does. The helpers below
+# pass it many windows per call.
+
+# Bound on B k^2 per window-map call: one (k, k) attention weight matrix per
+# window and channel, so a call holds at most about this many weights per
+# channel (and still at least one window).
+_REPORT_CHUNK = 4096
+
+
+def _map_stack(fn, stack: np.ndarray) -> np.ndarray:
+    out = np.asarray(fn(stack), dtype=np.float64)
+    if out.shape != stack.shape:
+        raise ValueError(f"equivariance: fn changed the window stack shape "
+                         f"{stack.shape} to {out.shape}")
+    return out
 
 
 def equivariance_error(fn, x, h: Permutation) -> float:
     """Squared Frobenius norm of fn(action(h) x) - action(h) fn(x).
 
-    fn must map window-by-feature matrices to matrices of the same shape.
+    fn maps a stack of windows (B, k, d) to a stack of the same shape; it is
+    called once, on the stack (x, action(h) x).
     """
     x = as_matrix(x)
-    left = fn(permute_rows(h, x))
-    base = fn(x)
-    if np.asarray(base).shape != x.shape or np.asarray(left).shape != x.shape:
-        raise ValueError("equivariance_error: fn changed the window shape")
-    return frobenius_sq(left - permute_rows(h, base))
+    out = _map_stack(fn, np.stack((x, permute_rows(h, x))))
+    return frobenius_sq(out[1] - permute_rows(h, out[0]))
 
 
 @dataclass(frozen=True)
@@ -177,14 +206,26 @@ class EquivarianceReport:
 
 def equivariance_report(fn, g: FiniteGroup, feature_dim: int, trials: int,
                         rng: Rng) -> EquivarianceReport:
-    """Exhaustive-in-h, sampled-in-x equivariance check of a window map."""
+    """Exhaustive-in-h, sampled-in-x equivariance check of a window map.
+
+    fn maps a stack of windows (B, k, d) to a stack of the same shape. Each
+    trial draws one window x and evaluates its |G| images action(h) x
+    together, in calls of at most max(1, 4096 // k^2) windows; fn(x) is the
+    identity element's slot. Any non-finite error makes max_error non-finite.
+    """
     if trials < 1:
         raise ValueError(f"equivariance_report: trials must be >= 1, got {trials}")
+    # Row i is h_i^-1, so x[inv] stacks action(h_i) x = x[h_i^-1] for every i.
+    inv = np.array([h.inverse().mapping for h in g.elements])
+    chunk = max(1, _REPORT_CHUNK // g.degree ** 2)
     errors = []
     for _ in range(trials):
         x = rand_matrix(rng, g.degree, feature_dim, 1.0)
-        for h in g.elements:
-            errors.append(equivariance_error(fn, x, h))
-    return EquivarianceReport(max_error=max(errors),
-                              mean_error=float(np.mean(errors)),
+        moved = x[inv]
+        out = np.concatenate([_map_stack(fn, moved[s:s + chunk])
+                              for s in range(0, g.order, chunk)])
+        errors.append(((out - out[g.identity_index][inv]) ** 2).sum((1, 2)))
+    errors = np.concatenate(errors)
+    return EquivarianceReport(max_error=float(errors.max()),
+                              mean_error=float(errors.mean()),
                               trials=trials, group_order=g.order)

@@ -29,6 +29,7 @@ from .numerics import Matrix
 
 _MAX_ORDER = 120
 _MAX_SYMMETRIC = 5
+_PRODUCT_CHUNK = 1 << 16  # matrix entries per batched product in verify_homomorphism
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,18 @@ def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
     """Check P(h1 h2) = P(h1) P(h2) for every pair, in exact integers."""
     if g.order > _MAX_ORDER:
         raise ValueError(f"verify_homomorphism: order {g.order} exceeds the cap {_MAX_ORDER}")
-    mats = [permutation_matrix(p).astype(np.int64) for p in g.elements]
+    mats = np.empty((g.order, g.degree, g.degree), dtype=np.int64)
+    for i, p in enumerate(g.elements):
+        mats[i] = permutation_matrix(p)
+    # Row i of the table at once, mats[i] @ mats[j] for a block of j; the
+    # block holds at most _PRODUCT_CHUNK entries (and at least one matrix).
+    step = max(1, _PRODUCT_CHUNK // g.degree ** 2)
     violations = []
     for i in range(g.order):
-        for j in range(g.order):
-            if not np.array_equal(mats[i] @ mats[j], mats[g.cayley[i, j]]):
-                violations.append((i, j))
+        for start in range(0, g.order, step):
+            stop = start + step
+            bad = (mats[i] @ mats[start:stop] != mats[g.cayley[i, start:stop]]).any(axis=(1, 2))
+            violations.extend((i, start + int(j)) for j in np.flatnonzero(bad))
     return HomomorphismReport(pairs_checked=g.order * g.order, violations=tuple(violations))
 
 

@@ -1,5 +1,7 @@
 """Scaled dot-product attention, channel decompositions, equivariance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,7 @@ def test_equivariance_error_attention_tiny():
 def test_equivariance_error_flags_broken_map():
     def zero_row0(m):
         out = np.array(m, dtype=float)
-        out[0] = 0.0
+        out[..., 0, :] = 0.0
         return out
 
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -180,7 +182,7 @@ def test_equivariance_error_flags_broken_map():
 
 
 def test_equivariance_error_rejects_shape_change():
-    fn = lambda m: m[:1]
+    fn = lambda m: m[..., :1, :]
     with pytest.raises(ValueError):
         equivariance_error(fn, np.eye(3), identity(3))
 
@@ -214,8 +216,41 @@ def test_equivariance_report_flags_fixture():
 
     def biased(m):
         out = np.array(m, dtype=float)
-        out[0] += 1.0
+        out[..., 0, :] += 1.0
         return out
 
     report = equivariance_report(biased, g, 4, 5, Rng(17))
     assert report.max_error > 1e-3
+
+
+def test_equivariance_report_flags_nan_outside_identity():
+    # NaN on every window except the first trial's x itself: the identity of
+    # that trial is clean and every other error is NaN, so a max that drops
+    # NaN after a finite first error would read 0.
+    g = mirror_group(4)
+    x = rand_matrix(Rng(18), 4, 3, 1.0)  # the report's first draw
+
+    def fn(m):
+        out = np.array(m, dtype=float)
+        out[(out != x).any(axis=(-2, -1))] = np.nan
+        return out
+
+    report = equivariance_report(fn, g, 3, 3, Rng(18))
+    assert math.isnan(report.max_error) and math.isnan(report.mean_error)
+    assert not report.max_error < 1e-12
+
+
+def test_equivariance_error_calls_fn_once_on_two_windows():
+    calls = []
+
+    def fn(m):
+        calls.append(np.array(m))
+        return attention(m, m, m)
+
+    g = cyclic_group(4)
+    x = rand_matrix(Rng(19), 4, 3, 1.0)
+    h = g.elements[1]
+    err = equivariance_error(fn, x, h)
+    assert len(calls) == 1 and calls[0].shape == (2, 4, 3)
+    assert np.array_equal(calls[0][0], x) and np.array_equal(calls[0][1], permute_rows(h, x))
+    assert err < 1e-20

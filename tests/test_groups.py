@@ -201,6 +201,13 @@ def test_homomorphism_reports():
     assert rep.ok and rep.pairs_checked == 64
 
 
+def brute_violations(g, table):
+    # Per-pair oracle: every (i, j), in order, whose product disagrees with table.
+    mats = [permutation_matrix(p).astype(np.int64) for p in g.elements]
+    return tuple((i, j) for i in range(g.order) for j in range(g.order)
+                 if not np.array_equal(mats[i] @ mats[j], mats[table[i, j]]))
+
+
 def test_homomorphism_catches_corrupted_cayley():
     g = cyclic_group(3)
     bad = np.array(g.cayley)
@@ -210,6 +217,24 @@ def test_homomorphism_catches_corrupted_cayley():
     rep = verify_homomorphism(corrupted)
     assert not rep.ok
     assert len(rep.violations) >= 1
+    assert rep.violations == brute_violations(g, bad)
+    assert rep.pairs_checked == g.order ** 2
+
+
+@pytest.mark.parametrize("g, rows", [(symmetric_group(4), (1, 7, 23)),
+                                     # 48-point windows: each row is checked in two blocks
+                                     (cyclic_group(48), (1, 40))])
+def test_homomorphism_violations_in_pair_order(g, rows):
+    # A shuffled table breaks many pairs in several rows; the report lists
+    # exactly the failing (i, j) pairs, row by row, as the per-pair check does.
+    bad = np.array(g.cayley)
+    rng = np.random.default_rng(3)
+    for i in rows:
+        bad[i] = rng.permutation(bad[i])
+    bad.setflags(write=False)
+    rep = verify_homomorphism(dataclasses.replace(g, cayley=bad))
+    brute = brute_violations(g, bad)
+    assert len(brute) > len(rows) and rep.violations == brute
 
 
 def test_from_permutations_closure_check():

@@ -3,17 +3,20 @@
 The reference functions below are the per-window loops the library used
 before the kernel existed: one window, one channel and one projector matmul
 at a time. Every batched result must match them to within 1e-12, relative to
-the size of the compared values.
+the size of the compared values. Stacked calls of the attention functions
+and the stacked equivariance report must match their one-window calls
+bit for bit.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoattn.attention import decompose_post, decompose_pre
-from isoattn.groups import from_descriptor
+from isoattn.attention import (attention, decompose_post, decompose_pre, equivariance_report)
+from isoattn.groups import from_descriptor, permute_rows
 from isoattn.irreps import projector_set
 from isoattn.layer import (
     VARIANTS,
@@ -23,7 +26,7 @@ from isoattn.layer import (
     train,
 )
 from isoattn.metrics import activation_mapping
-from isoattn.numerics import Rng, rand_matrix, softmax_rows, softmax_rows_vjp
+from isoattn.numerics import Rng, frobenius_sq, rand_matrix, softmax_rows, softmax_rows_vjp
 
 TOL = 1e-12
 DESCRIPTORS = ("mirror:6", "dihedral:4", "symmetric:4")
@@ -118,6 +121,18 @@ def ref_train(lay, samples, val, cfg):
         val_losses = [ref_loss_bce(ref_forward(lay, x)[0], label)[0] for x, label in val]
         history.append((math.fsum(losses) / len(samples), math.fsum(val_losses) / len(val)))
     return history
+
+
+def ref_equivariance_report(fn, g, dim, trials, rng):
+    """The per-(x, h) loop: fn(action(h) x) and fn(x), one window each."""
+    errors = []
+    for _ in range(trials):
+        x = rand_matrix(rng, g.degree, dim, 1.0)
+        base = fn(x[None])[0]
+        for h in g.elements:
+            left = fn(permute_rows(h, x)[None])[0]
+            errors.append(frobenius_sq(left - permute_rows(h, base)))
+    return max(errors), float(np.mean(errors))
 
 
 def ref_set_mass(lay, proj, windows):
@@ -263,3 +278,119 @@ def test_train_with_ragged_last_batch_matches_reference():
                 assert_close(row["val_loss"], ref_val_loss)
             for name in WEIGHT_NAMES:
                 assert_close(getattr(lay, name), getattr(ref, name))
+
+
+# ---------- stacks of windows and the equivariance report ----------
+
+def check_map(desc, variant, dim, seed):
+    """The window map `isoattn check` builds, on stacks."""
+    ps = PROJECTORS.get(desc) or projector_set(from_descriptor(desc))
+    rng = Rng(seed)
+    wq, wk, wv = (rand_matrix(rng, dim, dim, 1.0) for _ in range(3))
+
+    def fn(x):
+        q, k, v = x @ wq, x @ wk, x @ wv
+        if variant == "baseline":
+            return attention(q, k, v)
+        if variant == "pre":
+            return decompose_pre(q, k, v, ps).total
+        return decompose_post(q, k, v, ps).total
+    return fn
+
+
+def counting(fn, calls):
+    def counted(x):
+        calls.append(np.array(x))
+        return fn(x)
+    return counted
+
+
+@SETTINGS
+@given(desc=st.sampled_from(DESCRIPTORS), dim=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), batch=st.sampled_from(BATCH_SIZES))
+def test_stacked_attention_equals_single_windows(desc, dim, seed, batch):
+    ps = PROJECTORS[desc]
+    rng = Rng(seed)
+    qs, ks, vs = (np.stack([rand_matrix(rng, ps.window, dim, 2.0) for _ in range(batch)])
+                  for _ in range(3))
+    plain = attention(qs, ks, vs)
+    assert plain.shape == qs.shape
+    for decompose in (decompose_pre, decompose_post):
+        dec = decompose(qs, ks, vs, ps)
+        assert dec.total.shape == qs.shape
+        for i in range(batch):
+            single = decompose(qs[i], ks[i], vs[i], ps)
+            assert np.array_equal(dec.total[i], single.total)
+            for ch, one in zip(dec.channels, single.channels, strict=True):
+                assert ch.label == one.label
+                assert ch.output.shape == qs.shape
+                assert ch.weights.shape == (batch, ps.window, ps.window)
+                assert np.array_equal(ch.output[i], one.output)
+                assert np.array_equal(ch.weights[i], one.weights)
+    for i in range(batch):
+        assert np.array_equal(plain[i], attention(qs[i], ks[i], vs[i]))
+
+
+@SETTINGS
+@given(desc=st.sampled_from(DESCRIPTORS + ("cyclic:12", "dihedral:12", "trivial:3", "dihedral:2")),
+       variant=st.sampled_from(VARIANTS), dim=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 3))
+def test_equivariance_report_matches_reference_loop(desc, variant, dim, seed, trials):
+    g = from_descriptor(desc)
+    fn = check_map(desc, variant, dim, seed)
+    report = equivariance_report(fn, g, dim, trials, Rng(seed).derive(5))
+    ref_max, ref_mean = ref_equivariance_report(fn, g, dim, trials, Rng(seed).derive(5))
+    assert report.max_error == ref_max and report.mean_error == ref_mean
+    assert report.trials == trials and report.group_order == g.order
+
+
+def test_report_passes_each_moved_window_once_per_trial():
+    g = from_descriptor("dihedral:4")
+    calls = []
+    equivariance_report(counting(check_map("dihedral:4", "pre", 3, 1), calls), g, 3, 3,
+                        Rng(2))
+    assert len(calls) == 3  # one call per trial: the whole group fits in one chunk
+    rng = Rng(2)
+    for stack in calls:
+        x = rand_matrix(rng, g.degree, 3, 1.0)
+        assert stack.shape == (g.order, g.degree, 3)
+        for h, window in zip(g.elements, stack, strict=True):
+            assert np.array_equal(window, permute_rows(h, x))
+
+
+def test_report_chunks_bound_the_windows_per_call():
+    # One (k, k) weight matrix per window and channel: cyclic:120 gets one
+    # window per call, while all 120 elements of symmetric:5 fit in one.
+    same = lambda m: np.array(m)
+    for desc, sizes in (("cyclic:120", [1] * 120), ("symmetric:5", [120]),
+                        ("dihedral:12", [24])):
+        calls = []
+        report = equivariance_report(counting(same, calls), from_descriptor(desc), 2, 2, Rng(3))
+        assert [len(c) for c in calls] == sizes * 2
+        assert report.max_error == 0.0
+
+
+def test_stack_shape_validation():
+    ps = PROJECTORS["mirror:6"]
+    good = np.zeros((3, 6, 2))
+    for q, k, v in ((good, np.zeros((2, 6, 2)), good),  # window counts differ
+                    (good, good, np.zeros((3, 6, 3))),  # feature dims differ
+                    (good[0], good, good),             # one window against a stack
+                    (good[None], good[None], good[None]),  # rank 4
+                    (good[0, 0], good[0, 0], good[0, 0]),  # rank 1
+                    (np.zeros((0, 6, 2)),) * 3):           # empty stack
+        for call in (lambda: attention(q, k, v), lambda: decompose_pre(q, k, v, ps),
+                     lambda: decompose_post(q, k, v, ps)):
+            with pytest.raises(ValueError):
+                call()
+    rows = np.zeros((3, 5, 2))
+    for decompose in (decompose_pre, decompose_post):
+        with pytest.raises(ValueError, match="input has 5 rows"):
+            decompose(rows, rows, rows, ps)
+
+
+def test_report_rejects_map_that_changes_the_stack_shape():
+    g = from_descriptor("mirror:6")
+    for fn in (lambda m: m[..., :1, :], lambda m: m[0], lambda m: m[:1]):
+        with pytest.raises(ValueError):
+            equivariance_report(fn, g, 2, 1, Rng(4))

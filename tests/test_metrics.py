@@ -138,7 +138,7 @@ def test_tracker_flags_row_biased_fixture():
 
         def window_map(self, x):
             x = np.asarray(x, dtype=float)
-            return x + np.arange(x.shape[0])[:, None]
+            return x + np.arange(x.shape[-2])[:, None]
 
     g = mirror_group(6)
     assert equivariance_tracker(RowBiased(), g, Rng(12), 5) > 1e-3
