@@ -216,7 +216,7 @@ def equivariance_report(fn, g: FiniteGroup, feature_dim: int, trials: int,
     if trials < 1:
         raise ValueError(f"equivariance_report: trials must be >= 1, got {trials}")
     # Row i is h_i^-1, so x[inv] stacks action(h_i) x = x[h_i^-1] for every i.
-    inv = np.array([h.inverse().mapping for h in g.elements])
+    inv = np.argsort(g.perm, axis=1)
     chunk = max(1, _REPORT_CHUNK // g.degree ** 2)
     errors = []
     for _ in range(trials):

@@ -1,9 +1,11 @@
 """Finite permutation groups acting on token windows.
 
 A group here is a concrete list of permutations of window positions together
-with its abstract multiplication table. The table is built from the family
-structure (not by permutation lookup), so actions that are not faithful, such
-as the dihedral groups on 1 or 2 points, still carry the full abstract group.
+with its abstract multiplication table. The cyclic and dihedral tables are
+built from the family structure (not by permutation lookup), so actions that
+are not faithful, such as the dihedral groups on 1 or 2 points, still carry
+the full abstract group. Symmetric groups and custom lists act faithfully and
+are tabled by looking up each composed mapping.
 
 Families:
     cyclic_group(n)      order n, shift action on an n-window
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .numerics import Matrix
 
 _MAX_ORDER = 120
 _MAX_SYMMETRIC = 5
-_PRODUCT_CHUNK = 1 << 16  # matrix entries per batched product in verify_homomorphism
+_CODE_CAP = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,17 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_matrices(self) -> list[Matrix]:
-        return [permutation_matrix(p) for p in self.elements]
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """The element mappings as one read-only (order, degree) int array.
+
+        Row i is elements[i].mapping. Products of permutation matrices are
+        gathers on these rows: M_p M_q = M_{p o q} with (p o q) = perm[i][perm[j]],
+        and for any matrix P, P M_p = P[:, p] and M_p P = P[p^-1, :] exactly.
+        """
+        perm = np.array([p.mapping for p in self.elements], dtype=np.intp)
+        perm.setflags(write=False)
+        return perm
 
 
 def _conjugacy_classes(cayley: np.ndarray, inverse: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -155,6 +167,32 @@ def _conjugacy_classes(cayley: np.ndarray, inverse: tuple[int, ...]) -> tuple[tu
             seen[y] = True
         classes.append(tuple(orbit))
     return tuple(classes)
+
+
+def _row_codes(rows: np.ndarray, k: int) -> np.ndarray:
+    """One int64 code per row of an int array with entries in 0..k-1, equal
+    exactly when the rows are equal. The codes are base-k numbers, renumbered
+    densely whenever the next digit could overflow, so any degree works."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every code is below bound
+    for col in rows.T:
+        if bound * k > _CODE_CAP:
+            codes = np.unique(codes, return_inverse=True)[1]
+            bound = len(rows)
+        codes = codes * k + col
+        bound *= k
+    return codes
+
+
+def _cayley_by_lookup(perm: np.ndarray) -> np.ndarray:
+    """Table of distinct mappings: entry (i, j) is the row index of the
+    product perm[i][perm[j]] (apply j first), or -1 where it is not a row."""
+    n, k = perm.shape
+    codes = _row_codes(np.concatenate([perm, perm[:, perm].reshape(-1, k)]), k)
+    order = np.argsort(codes[:n])
+    known = codes[:n][order]
+    pos = np.searchsorted(known, codes[n:]).clip(max=n - 1)
+    return np.where(known[pos] == codes[n:], order[pos], -1).reshape(n, n)
 
 
 def _assemble(kind: str, n: int, degree: int, descriptor: str,
@@ -258,11 +296,8 @@ def symmetric_group(k: int) -> FiniteGroup:
     if k > _MAX_SYMMETRIC:
         raise ValueError(f"symmetric_group: k = {k} is unsupported, the cap is {_MAX_SYMMETRIC}")
     mappings = list(itertools.permutations(range(k)))
-    index = {m: i for i, m in enumerate(mappings)}
     elements = [Permutation(m) for m in mappings]
-    order = len(elements)
-    cayley = [[index[tuple(mappings[i][t] for t in mappings[j])] for j in range(order)]
-              for i in range(order)]
+    cayley = _cayley_by_lookup(np.array(mappings, dtype=np.intp))
     return _assemble("symmetric", k, k, f"symmetric:{k}", elements, cayley)
 
 
@@ -278,21 +313,16 @@ def from_permutations(perms, descriptor: str = "custom") -> FiniteGroup:
     if len(elements) > _MAX_ORDER:
         raise ValueError(f"from_permutations: order {len(elements)} exceeds the cap {_MAX_ORDER}")
     degree = elements[0].degree
-    index = {}
-    for i, p in enumerate(elements):
+    seen = set()
+    for p in elements:
         if p.degree != degree:
             raise ValueError("from_permutations: mixed degrees in element list")
-        if p.mapping in index:
+        if p.mapping in seen:
             raise ValueError(f"from_permutations: duplicate element {p.mapping!r}")
-        index[p.mapping] = i
-    order = len(elements)
-    cayley = np.zeros((order, order), dtype=np.int64)
-    for i in range(order):
-        for j in range(order):
-            prod = elements[i].compose(elements[j]).mapping
-            if prod not in index:
-                raise ValueError("from_permutations: element list is not closed under composition")
-            cayley[i, j] = index[prod]
+        seen.add(p.mapping)
+    cayley = _cayley_by_lookup(np.array([p.mapping for p in elements], dtype=np.intp))
+    if (cayley < 0).any():
+        raise ValueError("from_permutations: element list is not closed under composition")
     return _assemble("custom", 0, degree, descriptor, elements, cayley)
 
 
@@ -330,21 +360,18 @@ class HomomorphismReport:
 
 
 def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
-    """Check P(h1 h2) = P(h1) P(h2) for every pair, in exact integers."""
+    """Check P(h1 h2) = P(h1) P(h2) for every pair, exactly.
+
+    P(h_i) P(h_j) = P(h_i o h_j), so row i of the table holds where the
+    composed mappings perm[i][perm] equal perm[cayley[i]].
+    """
     if g.order > _MAX_ORDER:
         raise ValueError(f"verify_homomorphism: order {g.order} exceeds the cap {_MAX_ORDER}")
-    mats = np.empty((g.order, g.degree, g.degree), dtype=np.int64)
-    for i, p in enumerate(g.elements):
-        mats[i] = permutation_matrix(p)
-    # Row i of the table at once, mats[i] @ mats[j] for a block of j; the
-    # block holds at most _PRODUCT_CHUNK entries (and at least one matrix).
-    step = max(1, _PRODUCT_CHUNK // g.degree ** 2)
+    perm = g.perm
     violations = []
     for i in range(g.order):
-        for start in range(0, g.order, step):
-            stop = start + step
-            bad = (mats[i] @ mats[start:stop] != mats[g.cayley[i, start:stop]]).any(axis=(1, 2))
-            violations.extend((i, start + int(j)) for j in np.flatnonzero(bad))
+        bad = (perm[i][perm] != perm[g.cayley[i]]).any(axis=1)
+        violations.extend((i, int(j)) for j in np.flatnonzero(bad))
     return HomomorphismReport(pairs_checked=g.order * g.order, violations=tuple(violations))
 
 

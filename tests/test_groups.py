@@ -181,11 +181,21 @@ def test_group_axioms_exhaustive():
                     assert g.cayley[g.cayley[a, b], c] == g.cayley[a, g.cayley[b, c]]
 
 
+def assert_cayley_composes(g):
+    # Per-pair reference: entry (i, j) names the composed mapping.
+    for i, p in enumerate(g.elements):
+        for j, q in enumerate(g.elements):
+            assert g.elements[g.cayley[i, j]].mapping == p.compose(q).mapping
+
+
+KLEIN4 = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+S3 = list(itertools.permutations(range(3)))
+
+
 def test_cayley_matches_composition():
-    for g in ROSTER:
-        for i, p in enumerate(g.elements):
-            for j, q in enumerate(g.elements):
-                assert g.elements[g.cayley[i, j]].mapping == p.compose(q).mapping
+    custom = [from_permutations(perms) for perms in (KLEIN4, S3, S3[::-1])]
+    for g in ROSTER + custom:
+        assert_cayley_composes(g)
 
 
 def test_conjugacy_classes_against_brute_force():
@@ -222,7 +232,6 @@ def test_homomorphism_catches_corrupted_cayley():
 
 
 @pytest.mark.parametrize("g, rows", [(symmetric_group(4), (1, 7, 23)),
-                                     # 48-point windows: each row is checked in two blocks
                                      (cyclic_group(48), (1, 40))])
 def test_homomorphism_violations_in_pair_order(g, rows):
     # A shuffled table breaks many pairs in several rows; the report lists
@@ -235,6 +244,61 @@ def test_homomorphism_violations_in_pair_order(g, rows):
     rep = verify_homomorphism(dataclasses.replace(g, cayley=bad))
     brute = brute_violations(g, bad)
     assert len(brute) > len(rows) and rep.violations == brute
+
+
+def test_composition_lemma_exhaustive():
+    # M_p M_q = M_{p o q}, (p o q) = perm[i][perm[j]], and for any matrix x,
+    # x M_p = x[:, p] and M_p x = x[p^-1, :] bit for bit: all of verification
+    # rests on these gathers.
+    g = symmetric_group(4)
+    perm = g.perm
+    assert perm.shape == (24, 4) and not perm.flags.writeable
+    assert [tuple(row) for row in perm.tolist()] == [p.mapping for p in g.elements]
+    x = np.random.default_rng(0).standard_normal((4, 4))
+    pairs = 0
+    for i, p in enumerate(g.elements):
+        mp = permutation_matrix(p)
+        assert np.array_equal(x @ mp, x[:, perm[i]])
+        assert np.array_equal(mp @ x, x[list(p.inverse().mapping), :])
+        for j, q in enumerate(g.elements):
+            pq = p.compose(q)
+            assert np.array_equal(mp @ permutation_matrix(q), permutation_matrix(pq))
+            assert tuple(perm[i][perm[j]]) == pq.mapping
+            pairs += 1
+    assert pairs == 576
+
+
+def fixing_tail(mapping, n):
+    # The permutation `mapping` of the first positions of an n-window.
+    return tuple(mapping) + tuple(range(len(mapping), n))
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 120])
+def test_from_permutations_large_degree(n):
+    # From degree 16 on, row codes are renumbered before they overflow; groups
+    # that move only the first positions differ only in the leading digits.
+    closed = ([p.mapping for p in cyclic_group(n).elements[::-1]],
+              [fixing_tail(m, n) for m in itertools.permutations(range(4))])
+    for perms in closed:
+        assert_cayley_composes(from_permutations(perms))
+    not_closed = ([identity(n).mapping, shift(n, 1).mapping],
+                  [fixing_tail(m, n) for m in ((0, 1, 2), (1, 0, 2), (0, 2, 1))])
+    for perms in not_closed:
+        with pytest.raises(ValueError, match="^from_permutations: element list is not closed"):
+            from_permutations(perms)
+
+
+def test_from_permutations_errors_unchanged():
+    swap, cycle = Permutation((1, 0, 2)), Permutation((1, 2, 0))
+    with pytest.raises(ValueError, match="^from_permutations: element list is not closed "
+                                         "under composition$"):
+        from_permutations([identity(3), swap, cycle])
+    with pytest.raises(ValueError, match=r"^from_permutations: duplicate element \(1, 0, 2\)$"):
+        from_permutations([identity(3), swap, cycle, swap])
+    with pytest.raises(ValueError, match="^from_permutations: mixed degrees in element list$"):
+        from_permutations([identity(3), identity(2), identity(2)])
+    with pytest.raises(ValueError, match=r"^from_permutations: duplicate element \(0, 1\)$"):
+        from_permutations([identity(2), identity(2), identity(3)])
 
 
 def test_from_permutations_closure_check():

@@ -1,6 +1,7 @@
 """Real irreducible characters and isotypic projectors."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from isoattn.groups import (
     cyclic_group,
     dihedral_group,
+    from_descriptor,
     mirror_group,
     permutation_matrix,
     shift_group,
@@ -15,6 +17,7 @@ from isoattn.groups import (
     trivial_group,
 )
 from isoattn.irreps import (
+    ProjectorSetReport,
     RealIrrep,
     isotypic_projector,
     load_projectors,
@@ -214,6 +217,84 @@ def test_projector_commutes_with_action():
             m = permutation_matrix(p)
             delta = np.abs(item.projector @ m - m @ item.projector).max()
             assert delta < 1e-12
+
+
+def reference_projector(g, irrep):
+    # Sum of chi(h^-1) times the action matrix, element by element.
+    k = g.degree
+    acc = np.zeros((k, k), dtype=np.float64)
+    for h in range(g.order):
+        acc += irrep.characters[g.inverse[h]] * permutation_matrix(g.elements[h])
+    coeff = irrep.dim / 2.0 if irrep.pair else float(irrep.dim)
+    return acc * (coeff / g.order)
+
+
+@pytest.mark.parametrize("desc", [f"cyclic:{n}" for n in range(1, 13)]
+                         + [f"dihedral:{n}" for n in range(1, 13)]
+                         + [f"symmetric:{k}" for k in range(1, 6)]
+                         + ["mirror:6", "shift:6:2", "shift:6:3", "trivial:3"])
+def test_projectors_match_reference_sum_bitwise(desc):
+    g = from_descriptor(desc)
+    for irrep in real_irreps(g):
+        assert isotypic_projector(g, irrep).tobytes() == reference_projector(g, irrep).tobytes()
+
+
+def reference_report(ps):
+    # Per-projector, per-pair and per-element products, as the identities read.
+    frob = lambda m: math.sqrt(float((m * m).sum()))  # noqa: E731
+    projs = [item.projector for item in ps.items]
+    mats = [permutation_matrix(p) for p in ps.group.elements]
+    return ProjectorSetReport(
+        idempotency=max(frob(p @ p - p) for p in projs),
+        orthogonality=max([frob(p @ q) for i, p in enumerate(projs) for q in projs[i + 1:]],
+                          default=0.0),
+        completeness=frob(sum(projs) - np.eye(ps.window)),
+        symmetry=max(frob(p - p.T) for p in projs),
+        commutation=max(frob(p @ m - m @ p) for m in mats for p in projs))
+
+
+def replace_projector(ps, index, matrix):
+    items = list(ps.items)
+    items[index] = dataclasses.replace(items[index], projector=matrix)
+    return dataclasses.replace(ps, items=tuple(items))
+
+
+@pytest.mark.parametrize("desc", ["mirror:6", "cyclic:12", "dihedral:12", "symmetric:4",
+                                  "symmetric:5", "cyclic:48", "trivial:3"])
+def test_verify_projector_set_matches_reference_bitwise(desc):
+    ps = projector_set(from_descriptor(desc))
+    assert verify_projector_set(ps) == reference_report(ps)
+    noisy = ps.items[-1].projector + 1e-3 * np.random.default_rng(1).standard_normal(
+        (ps.window, ps.window))
+    bad = replace_projector(ps, len(ps.items) - 1, noisy)
+    report = verify_projector_set(bad)
+    assert report == reference_report(bad) and not report.ok()
+
+
+@pytest.mark.parametrize("desc", ["cyclic:6", "dihedral:4", "cyclic:48"])
+def test_non_commuting_projector_detected(desc):
+    # e0 e0^T is a symmetric idempotent, but every element that moves
+    # position 0 breaks commutation with it, by sqrt(2) in Frobenius norm.
+    ps = projector_set(from_descriptor(desc))
+    e0 = np.zeros((ps.window, ps.window))
+    e0[0, 0] = 1.0
+    bad = replace_projector(ps, 0, e0)
+    report = verify_projector_set(bad)
+    assert report == reference_report(bad)
+    assert report.idempotency < 1e-12 and report.symmetry < 1e-12
+    assert report.commutation == math.sqrt(2.0) and not report.ok()
+
+
+def test_nan_projector_fails_verification():
+    ps = projector_set(dihedral_group(4))
+    p = ps.items[-1].projector.copy()
+    p[0, 0] = np.nan
+    report = verify_projector_set(replace_projector(ps, len(ps.items) - 1, p))
+    assert math.isnan(report.completeness)
+    assert not math.isfinite(report.max_deviation())
+    assert not report.ok()
+    late_nan = ProjectorSetReport(0.0, 0.0, 0.0, 0.0, float("nan"))
+    assert math.isnan(late_nan.max_deviation()) and not late_nan.ok()
 
 
 def test_corrupted_projector_detected():
