@@ -19,7 +19,7 @@ from .irreps import (ProjectorSet, RealIrrep, isotypic_projector, load_projector
                      verify_projector_set)
 from .layer import (TrainConfig, WindowAttentionLayer, finite_diff_check,
                     loss_bce, train)
-from .metrics import (accuracy, activation_mapping, equivariance_tracker, f1)
+from .metrics import accuracy, activation_mapping, f1
 from .numerics import (Matrix, Rng, frobenius_sq, rand_matrix, softmax_rows,
                        softmax_rows_vjp)
 from .synth import (Dataset, DatasetSpec, SequenceWindow, encode_onehot,

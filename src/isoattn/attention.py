@@ -33,7 +33,7 @@ import numpy as np
 
 from .groups import FiniteGroup, Permutation, permute_rows
 from .irreps import ProjectorSet
-from .numerics import (Matrix, Rng, as_matrix, frobenius_sq, rand_matrix, softmax_rows,
+from .numerics import (Rng, as_matrix, frobenius_sq, rand_matrix, softmax_rows,
                        softmax_rows_vjp)
 
 
@@ -113,11 +113,6 @@ def _like(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 #
 # q, k and v are one window (k, d) or a stack (B, k, d). Outputs, channel
 # outputs and channel weights carry the same leading axis as the input.
-
-def attention_weights(q: Matrix, k: Matrix) -> Matrix:
-    """Row-stochastic weights softmax_rows(q k^T / sqrt(d))."""
-    return channel_weights(q[None, None], k[None, None])[0, 0]
-
 
 def attention(q, k, v) -> np.ndarray:
     q, k, v = _check_qkv(q, k, v)

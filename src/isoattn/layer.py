@@ -68,13 +68,24 @@ def loss_bce(logits, label):
         raise ValueError(f"loss_bce: expected a single logit per window, got shape {z.shape}")
     if y.shape != z.shape[:-1] or not ((y == 0) | (y == 1)).all():
         raise ValueError(f"loss_bce: expected one label of 0 or 1 per logit, got {label!r}")
+    loss, grad = _bce(z, y)
+    return (float(loss), grad) if z.ndim == 1 else (loss, grad)
+
+
+def _bce(z: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    """loss_bce without its checks: logits z (..., 1), labels y of shape z.shape[:-1]."""
     z = z[..., 0]
     t = np.exp(-np.abs(z))
     loss = np.maximum(z, 0.0) - z * y + np.log1p(t)
     # sigmoid(z) from exp(-|z|), which cannot overflow.
     sigmoid = np.where(z >= 0.0, 1.0, t) / (1.0 + t)
-    grad = (sigmoid - y)[..., None]
-    return (float(loss), grad) if z.ndim == 0 else (loss, grad)
+    return loss, (sigmoid - y)[..., None]
+
+
+def _weight(index: int) -> property:
+    # A read-only attribute over one weight's view of the flat buffer.
+    return property(lambda self: self._weights[index],
+                    doc=f"{WEIGHT_NAMES[index]}: a view into params; edit it in place.")
 
 
 class WindowAttentionLayer:
@@ -85,7 +96,14 @@ class WindowAttentionLayer:
     through w_energy (one row per projector, n_classes columns). w_energy is
     optional and defaults to zeros, which makes the logits exactly
     pooled w_out.
+
+    The five weights are views into one flat float64 buffer, params, laid
+    out in WEIGHT_NAMES order, so one in-place update of params moves all
+    of them. They cannot be rebound (layer.w_q = m raises AttributeError,
+    since it would detach w_q from the buffer); edit them in place instead.
     """
+
+    w_q, w_k, w_v, w_out, w_energy = (_weight(i) for i in range(len(WEIGHT_NAMES)))
 
     def __init__(self, projectors: ProjectorSet, w_q: Matrix, w_k: Matrix,
                  w_v: Matrix, w_out: Matrix, variant: str, w_energy: Matrix | None = None):
@@ -105,8 +123,12 @@ class WindowAttentionLayer:
             raise ValueError(f"w_energy must have shape {energy_shape}, got {w_energy.shape}")
         self.projectors = projectors
         self.variant = variant
-        self.w_q, self.w_k, self.w_v, self.w_out = w_q, w_k, w_v, w_out
-        self.w_energy = w_energy
+        weights = (w_q, w_k, w_v, w_out, w_energy)
+        ends = np.cumsum([w.size for w in weights])
+        self._layout = tuple((slice(end - w.size, end), w.shape)
+                             for end, w in zip(ends, weights))
+        self._params = np.concatenate([w.ravel() for w in weights])
+        self._weights = self._split(self._params)
         # Row c is P_c / k flattened, so energies = rows @ vec(y y^T): since P_c
         # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2.
         kwin = projectors.window
@@ -125,6 +147,11 @@ class WindowAttentionLayer:
                    variant)
 
     @property
+    def params(self) -> np.ndarray:
+        """The flat float64 buffer behind the five weights, in WEIGHT_NAMES order."""
+        return self._params
+
+    @property
     def window(self) -> int:
         return self.projectors.window
 
@@ -136,28 +163,68 @@ class WindowAttentionLayer:
     def n_classes(self) -> int:
         return self.w_out.shape[1]
 
-    def _attend(self, x) -> tuple[np.ndarray, ChannelAttention]:
-        """The channel stack (B, C, k, d) of the windows in x and the kernel's
-        attention over it. Projecting x before the weight maps is the same as
+    def _split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The five weight-shaped views of a buffer laid out like params."""
+        return tuple(flat[part].reshape(shape) for part, shape in self._layout)
+
+    def _project(self, x) -> np.ndarray:
+        """The channel stack (B, C, k, d) of one window (k, d) or a stack
+        (B, k, d). Projecting x before the weight maps is the same as
         projecting q, k and v: P_c (x w) = (P_c x) w."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-2:] != (self.window, self.feature_dim) or x.ndim not in (2, 3) \
                 or x.shape[0] < 1:
             raise ValueError(f"forward: expected {self.window}x{self.feature_dim} windows, "
                              f"got shape {x.shape}")
-        xs = x.reshape(-1, self.window, self.feature_dim)
-        px = project(self.projectors.stack if self.variant == "pre" else None, xs)
-        return px, channel_attention(px @ self.w_q, px @ self.w_k, px @ self.w_v)
+        return project(self.projectors.stack if self.variant == "pre" else None,
+                       x.reshape(-1, self.window, self.feature_dim))
+
+    def _attend(self, px: np.ndarray) -> ChannelAttention:
+        w_q, w_k, w_v = self._weights[:3]
+        return channel_attention(px @ w_q, px @ w_k, px @ w_v)
+
+    # _forward and _backward hold the layer's math, on a channel stack px
+    # (B, C, k, d); the public methods below validate and reshape around them.
+
+    def _forward(self, px: np.ndarray):
+        """Logits (B, n_classes) and the state _backward reads."""
+        att = self._attend(px)
+        y = att.total
+        pooled = y.sum(axis=1) / self.window
+        energy = (y @ y.swapaxes(1, 2)).reshape(len(y), -1) @ self._energy_rows.T
+        logits = pooled @ self._weights[3] + energy @ self._weights[4]
+        return logits, (px, att, pooled, energy)
+
+    def _backward(self, state, dlogits: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
+        """Writes the five weight gradients, summed over the B windows, into
+        out (views shaped like the weights) given d(loss)/d(logits) of shape
+        (B, n_classes)."""
+        px, att, pooled, energy = state
+        b, _, kwin, d = px.shape
+        w_out, w_energy = self._weights[3:]
+        g_q, g_k, g_v, g_out, g_energy = out
+        np.matmul(pooled.T, dlogits, out=g_out)
+        np.matmul(energy.T, dlogits, out=g_energy)
+        dpooled = dlogits @ w_out.T
+        denergy = dlogits @ w_energy.T
+        # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
+        # e_c = ||P_c y||^2 / k adds 2 (sum_c denergy_c P_c / k) y.
+        dy = 2.0 * (denergy @ self._energy_rows).reshape(b, kwin, kwin) @ att.total \
+            + dpooled[:, None, :] / kwin
+        # qp = px w_q, so d w_q sums px^T dqp over windows and channels.
+        dqp, dkp, dvp = channel_attention_vjp(att, dy)
+        pxt = px.reshape(-1, d).T
+        np.matmul(pxt, dqp.reshape(-1, d), out=g_q)
+        np.matmul(pxt, dkp.reshape(-1, d), out=g_k)
+        np.matmul(pxt, dvp.reshape(-1, d), out=g_v)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Logits of one window (k, d), shape (n_classes,), or of a stack
         (B, k, d), shape (B, n_classes). The cache entries y, pooled and
         energy carry the same leading window axis as the input."""
-        px, att = self._attend(x)
+        px = self._project(x)
+        logits, (_, att, pooled, energy) = self._forward(px)
         y = att.total
-        pooled = y.sum(axis=1) / self.window
-        energy = (y @ y.swapaxes(1, 2)).reshape(len(y), -1) @ self._energy_rows.T
-        logits = pooled @ self.w_out + energy @ self.w_energy
         if np.ndim(x) == 2:
             logits, y, pooled, energy = logits[0], y[0], pooled[0], energy[0]
         cache = {"layer": self, "px": px, "attention": att, "y": y, "pooled": pooled,
@@ -166,35 +233,25 @@ class WindowAttentionLayer:
 
     def window_map(self, x) -> Matrix:
         """The pre-pooling window-to-window map; equivariant for all variants."""
-        return self._attend(x)[1].total.reshape(np.shape(x))
+        return self._attend(self._project(x)).total.reshape(np.shape(x))
 
     def backward(self, cache: dict, dlogits) -> dict[str, Matrix]:
         """Gradients of the five weight matrices given d(loss)/d(logits),
-        summed over the windows of the cache."""
+        summed over the windows of the cache. They are views into one flat
+        gradient laid out like params."""
         if cache.get("layer") is not self:
             raise ValueError("backward: cache does not belong to this layer")
         px = cache["px"]
-        b, _, kwin, d = px.shape
+        b = len(px)
         dlogits = np.asarray(dlogits, dtype=np.float64)
         if dlogits.size != b * self.n_classes:
             raise ValueError(f"backward: dlogits must have shape "
                              f"{cache['pooled'].shape[:-1] + (self.n_classes,)}")
-        dlogits = dlogits.reshape(b, self.n_classes)
-        y = cache["y"].reshape(b, kwin, d)
-
-        d_wout = cache["pooled"].reshape(b, d).T @ dlogits
-        d_wenergy = cache["energy"].reshape(b, -1).T @ dlogits
-        dpooled = dlogits @ self.w_out.T
-        denergy = dlogits @ self.w_energy.T
-        # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
-        # e_c = ||P_c y||^2 / k adds 2 (sum_c denergy_c P_c / k) y.
-        dy = 2.0 * (denergy @ self._energy_rows).reshape(b, kwin, kwin) @ y \
-            + dpooled[:, None, :] / kwin
-        # qp = px w_q, so d w_q sums px^T dqp over windows and channels.
-        dqp, dkp, dvp = channel_attention_vjp(cache["attention"], dy)
-        pxt = px.reshape(-1, d).T
-        return {"w_q": pxt @ dqp.reshape(-1, d), "w_k": pxt @ dkp.reshape(-1, d),
-                "w_v": pxt @ dvp.reshape(-1, d), "w_out": d_wout, "w_energy": d_wenergy}
+        state = (px, cache["attention"], cache["pooled"].reshape(b, -1),
+                 cache["energy"].reshape(b, -1))
+        grads = self._split(np.empty_like(self._params))
+        self._backward(state, dlogits.reshape(b, self.n_classes), grads)
+        return dict(zip(WEIGHT_NAMES, grads))
 
     def loss_and_grads(self, x, label):
         """Loss and weight gradients of one window, or per-window losses (B,)
@@ -255,25 +312,53 @@ def _as_arrays(items) -> tuple[np.ndarray, np.ndarray]:
         else:
             f, label = item
         feats.append(as_matrix(f))
-        labels.append(int(label))
+        labels.append(label)
     if not feats:
         return np.empty((0, 0, 0)), np.empty(0, dtype=np.int64)
-    return np.stack(feats), np.array(labels, dtype=np.int64)
+    # Labels keep their values, so a label such as 0.5 fails the 0/1 check
+    # instead of being truncated.
+    return np.stack(feats), np.array(labels)
 
 
 def _evaluate(layer: WindowAttentionLayer, xs: np.ndarray,
               labels: np.ndarray) -> tuple[float, float]:
-    """Mean loss and accuracy over a window stack, one forward pass per
-    EVAL_CHUNK windows."""
+    """Mean loss and accuracy over a window stack with valid 0/1 labels, one
+    forward pass per EVAL_CHUNK windows."""
     losses = []
     correct = 0
     for start in range(0, len(xs), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
         logits, _ = layer.forward(xs[chunk])
-        loss, _ = loss_bce(logits, labels[chunk])
+        loss, _ = _bce(logits, labels[chunk])
         losses.append(loss)
         correct += int(((logits[:, 0] > 0.0) == (labels[chunk] == 1)).sum())
     return math.fsum(np.concatenate(losses)) / len(xs), correct / len(xs)
+
+
+def _check_split(layer: WindowAttentionLayer, name: str, xs: np.ndarray,
+                 labels: np.ndarray) -> None:
+    """Reject a split that training cannot use, naming its first bad window."""
+    if xs.shape[1:] != (layer.window, layer.feature_dim):
+        raise ValueError(f"train: {name} windows must be {layer.window}x"
+                         f"{layer.feature_dim}, got {xs.shape[1:]}")
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ValueError(f"train: {name} label at index {bad[0]} is "
+                         f"{labels[bad[0]]}, expected 0 or 1")
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"train: {name} window at index {bad[0]} has a non-finite feature")
+
+
+def _diverged(epoch: int, step: int, epoch_losses: list, batch_size: int,
+              what: str) -> RuntimeError:
+    # Names the first step of the epoch whose loss is not finite, if any,
+    # else the step that was running.
+    losses = np.concatenate(epoch_losses) if epoch_losses else np.empty(0)
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        step, what = bad[0] // batch_size + 1, f"train loss {float(losses[bad[0]])!r}"
+    return RuntimeError(f"train: loss diverged at epoch {epoch}, step {step} ({what})")
 
 
 def train(layer: WindowAttentionLayer, train_data, val_data,
@@ -282,43 +367,69 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
 
     Returns one history row per epoch: epoch, train_loss, val_loss, val_acc
     and equivariance_max (the layer's window map, checked against its group).
-    A non-finite loss aborts with a diagnostic rather than training on.
+
+    Before any weight changes, the call checks both splits (window shape,
+    finite features, labels of 0 or 1) and projects the training windows
+    once; each step then runs the layer's internal forward and backward
+    passes on its rows of that stack and updates the flat params buffer in
+    place. Step s of an epoch covers windows order[(s-1) b : s b] of that
+    epoch's shuffle, with b = batch_size. With clean inputs a non-finite
+    value can only come from diverging weights: it raises RuntimeError
+    naming the epoch and step instead of training on.
     """
     if cfg.epochs < 1:
         raise ValueError(f"train: epochs must be >= 1, got {cfg.epochs}")
     if cfg.batch_size < 1:
         raise ValueError(f"train: batch_size must be >= 1, got {cfg.batch_size}")
+    if cfg.tracker_trials < 1:
+        raise ValueError(f"train: tracker_trials must be >= 1, got {cfg.tracker_trials}")
     train_x, train_y = _as_arrays(train_data)
     val_x, val_y = _as_arrays(val_data)
     if not len(train_x) or not len(val_x):
         raise ValueError("train: empty train or validation split")
+    _check_split(layer, "train", train_x, train_y)
+    _check_split(layer, "validation", val_x, val_y)
+    train_px = layer._project(train_x)
 
+    n, batch_size, params = len(train_x), cfg.batch_size, layer.params
+    # Every step writes its gradient into the same buffer, laid out like params.
+    grad = np.empty_like(params)
+    grads = layer._split(grad)
     shuffle_rng = Rng(cfg.seed).derive(1)
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(train_x))
-        # fsum keeps the reported loss independent of the shuffle order.
-        epoch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            losses, grads = layer.loss_and_grads(train_x[batch], train_y[batch])
-            epoch_losses.append(losses)
-            for name in WEIGHT_NAMES:
-                getattr(layer, name)[...] -= cfg.learning_rate * grads[name] / len(batch)
-        train_loss = math.fsum(np.concatenate(epoch_losses)) / len(train_x)
-        if not math.isfinite(train_loss):
-            raise RuntimeError(f"train: loss diverged at epoch {epoch} "
-                               f"(train loss {train_loss!r})")
-        val_loss, val_acc = _evaluate(layer, val_x, val_y)
-        if not math.isfinite(val_loss):
-            raise RuntimeError(f"train: loss diverged at epoch {epoch} "
-                               f"(validation loss {val_loss!r})")
-        report = equivariance_report(
-            layer.window_map, layer.projectors.group, layer.feature_dim,
-            cfg.tracker_trials, Rng(cfg.seed).derive(1000 + epoch))
-        history.append({"epoch": epoch,
-                        "train_loss": float(train_loss),
-                        "val_loss": float(val_loss),
-                        "val_acc": float(val_acc),
-                        "equivariance_max": float(report.max_error)})
+    # Diverging weights overflow long before softmax_rows rejects them, so
+    # numpy's warnings are silenced and the error names the step instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            epoch_losses = []
+            step = 0
+            try:
+                for step, start in enumerate(range(0, n, batch_size), 1):
+                    batch = order[start:start + batch_size]
+                    logits, state = layer._forward(train_px[batch])
+                    losses, dlogits = _bce(logits, train_y[batch])
+                    epoch_losses.append(losses)
+                    layer._backward(state, dlogits, grads)
+                    params -= cfg.learning_rate * grad / len(batch)
+                losses = np.concatenate(epoch_losses)
+                if not np.isfinite(losses).all():
+                    raise _diverged(epoch, step, epoch_losses, batch_size, "train loss")
+                # fsum keeps the reported loss independent of the shuffle order.
+                train_loss = math.fsum(losses) / n
+                val_loss, val_acc = _evaluate(layer, val_x, val_y)
+                if not math.isfinite(val_loss):
+                    raise _diverged(epoch, step, epoch_losses, batch_size,
+                                    f"validation loss {val_loss!r}")
+                report = equivariance_report(
+                    layer.window_map, layer.projectors.group, layer.feature_dim,
+                    cfg.tracker_trials, Rng(cfg.seed).derive(1000 + epoch))
+            except (ValueError, OverflowError) as exc:
+                # softmax_rows rejecting non-finite scores, or fsum overflowing.
+                raise _diverged(epoch, step, epoch_losses, batch_size, str(exc)) from None
+            history.append({"epoch": epoch,
+                            "train_loss": float(train_loss),
+                            "val_loss": float(val_loss),
+                            "val_acc": float(val_acc),
+                            "equivariance_max": float(report.max_error)})
     return history

@@ -1,4 +1,4 @@
-"""Classification scores, channel activation mapping, equivariance tracking."""
+"""Classification scores and channel activation mapping."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import channel_weights, equivariance_report, project
-from .groups import FiniteGroup
+from .attention import channel_weights, project
 from .layer import EVAL_CHUNK
-from .numerics import Rng, as_matrix
+from .numerics import as_matrix
 
 _ZERO_ROW_TOL = 1e-12
 
@@ -114,10 +113,3 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
             ratio = motif_mass / max(background_mass, 1e-12)
         rows.append(ActivationRow(item.irrep.label, motif_mass, background_mass, ratio))
     return ActivationReport(rows=tuple(rows))
-
-
-def equivariance_tracker(layer, g: FiniteGroup, rng: Rng, trials: int) -> float:
-    """Max equivariance error of the layer's window map over the whole group
-    and seeded random inputs. Order-independent: it is a max over the set."""
-    report = equivariance_report(layer.window_map, g, layer.feature_dim, trials, rng)
-    return report.max_error

@@ -7,7 +7,7 @@ import pytest
 
 from isoattn.attention import (
     attention,
-    attention_weights,
+    channel_weights,
     decompose_post,
     decompose_pre,
     equivariance_error,
@@ -47,9 +47,9 @@ def test_window_one_returns_value():
     assert np.abs(attention(q, k, v) - v).max() < 1e-15
 
 
-def test_attention_weights_row_stochastic():
+def test_channel_weights_row_stochastic():
     q, k, _ = seeded_qkv(3, 6, 8, 3.0)
-    w = attention_weights(q, k)
+    w = channel_weights(q[None, None], k[None, None])[0, 0]
     assert np.all(w >= 0)
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ def test_train_noiseless_palindrome_reaches_target(tmp_path, capsys):
     assert code == 0
     acc = final_summary_value(text, "train_acc")
     assert acc > 0.95, f"final train accuracy {acc:.4f}"
+
+
+def test_train_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "train", "--n", "60", "--epochs", "3", "--lr", "1e6",
+                           "--out", str(tmp_path / "diverged.jsonl"))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: train: loss diverged at epoch 1, step "), err
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_missing_command_is_usage_error(capsys):

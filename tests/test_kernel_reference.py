@@ -259,8 +259,8 @@ def test_activation_mapping_matches_reference(case, motifs, backgrounds):
                 assert_close(mass, expected)
 
 
-def test_train_with_ragged_last_batch_matches_reference():
-    # 37 windows at batch size 16 leave a last mini-batch of 5.
+def check_train_against_reference(batch_size):
+    # 37 training windows and 8 validation windows, for every variant.
     for desc in DESCRIPTORS:
         for variant in VARIANTS:
             lay = make_layer(desc, variant, 3, 7)
@@ -269,7 +269,7 @@ def test_train_with_ragged_last_batch_matches_reference():
             labels = Rng(9).integers(2, size=45)
             samples = list(zip(xs[:37], labels[:37]))
             val = list(zip(xs[37:], labels[37:]))
-            cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=10, batch_size=16,
+            cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=10, batch_size=batch_size,
                               tracker_trials=1)
             history = train(lay, samples, val, cfg)
             for row, (ref_train_loss, ref_val_loss) in zip(history,
@@ -278,6 +278,16 @@ def test_train_with_ragged_last_batch_matches_reference():
                 assert_close(row["val_loss"], ref_val_loss)
             for name in WEIGHT_NAMES:
                 assert_close(getattr(lay, name), getattr(ref, name))
+
+
+def test_train_with_ragged_last_batch_matches_reference():
+    # Batch size 16 leaves a last mini-batch of 5.
+    check_train_against_reference(16)
+
+
+def test_per_sample_train_matches_reference():
+    # Batch size 1, the shape of `isoattn train` at its README settings.
+    check_train_against_reference(1)
 
 
 # ---------- stacks of windows and the equivariance report ----------

@@ -11,6 +11,7 @@ from isoattn.irreps import projector_set
 from isoattn.layer import (
     TrainConfig,
     VARIANTS,
+    WEIGHT_NAMES,
     WindowAttentionLayer,
     finite_diff_check,
     loss_bce,
@@ -129,6 +130,48 @@ def test_parameter_shape_parity_across_variants():
         shapes.add((lay.w_q.shape, lay.w_k.shape, lay.w_v.shape, lay.w_out.shape,
                     lay.w_energy.shape))
     assert len(shapes) == 1
+
+
+def test_weights_are_views_into_the_flat_buffer():
+    lay = small_layer("pre", seed=40)
+    x = rand_matrix(Rng(41), 6, 4, 1.0)
+    before, _ = lay.forward(x)
+    assert np.array_equal(np.concatenate([getattr(lay, n).ravel() for n in WEIGHT_NAMES]),
+                          lay.params)
+    lay.w_out[...] *= 2.0
+    assert np.array_equal(lay.params[-lay.w_energy.size - lay.w_out.size:-lay.w_energy.size],
+                          lay.w_out.ravel())
+    after, _ = lay.forward(x)
+    assert after[0] == 2.0 * before[0]
+    lay.params[...] = 0.0
+    assert lay.forward(x)[0][0] == 0.0
+
+
+def test_weights_cannot_be_rebound():
+    lay = small_layer("pre", seed=42)
+    for name in WEIGHT_NAMES:
+        with pytest.raises(AttributeError):
+            setattr(lay, name, np.zeros_like(getattr(lay, name)))
+    with pytest.raises(AttributeError):
+        lay.params = np.zeros_like(lay.params)
+
+
+def test_backward_gradients_are_slices_of_one_flat_gradient():
+    lay = with_energy_weights(small_layer("pre", seed=43), 44)
+    xs = rand_matrix(Rng(45), 18, 4, 1.0).reshape(3, 6, 4)
+    logits, cache = lay.forward(xs)
+    _, dlogits = loss_bce(logits, np.array([1, 0, 1]))
+    grads = lay.backward(cache, dlogits)
+    flat = grads["w_q"].base
+    assert flat.shape == lay.params.shape
+    start = 0
+    for name in WEIGHT_NAMES:
+        g = grads[name]
+        assert g.shape == getattr(lay, name).shape
+        assert g.base is flat
+        assert np.array_equal(g.ravel(), flat[start:start + g.size])
+        start += g.size
+    assert start == flat.size
 
 
 def test_loss_bce_closed_forms():
@@ -274,6 +317,56 @@ def test_train_aborts_on_divergence():
         with pytest.raises(RuntimeError):
             train(lay, [sample], [sample], TrainConfig(epochs=1, learning_rate=0.1,
                                                        seed=0))
+
+
+def train_rejection(train_data, val_data, cfg=None):
+    """The error train raises on bad data, checking it left the weights alone."""
+    lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, 1, "pre", Rng(25))
+    before = {name: getattr(lay, name).copy() for name in WEIGHT_NAMES}
+    with pytest.raises(ValueError) as info:
+        train(lay, train_data, val_data,
+              cfg or TrainConfig(epochs=2, learning_rate=0.5, seed=3))
+    for name, value in before.items():
+        assert np.array_equal(getattr(lay, name), value), name
+    return str(info.value)
+
+
+def test_train_rejects_bad_label_before_any_update():
+    ds = small_dataset()
+    val = [(w.features, w.label) for w in ds.val]
+    val[2] = (val[2][0], 2)
+    message = train_rejection(ds.train, val)
+    assert "validation label at index 2" in message
+    train_data = [(w.features, w.label) for w in ds.train]
+    train_data[5] = (train_data[5][0], -1)
+    assert "train label at index 5" in train_rejection(train_data, ds.val)
+    train_data[5] = (train_data[5][0], 0.5)
+    assert "train label at index 5 is 0.5" in train_rejection(train_data, ds.val)
+
+
+def test_train_rejects_non_finite_feature_before_any_update():
+    ds = small_dataset()
+    train_data = [(w.features.copy(), w.label) for w in ds.train]
+    train_data[3][0][1, 2] = np.nan
+    assert "train window at index 3" in train_rejection(train_data, ds.val)
+    val = [(w.features.copy(), w.label) for w in ds.val]
+    val[-1][0][0, 0] = np.inf
+    assert f"validation window at index {len(val) - 1}" in train_rejection(ds.train, val)
+
+
+def test_train_rejects_bad_window_shape_and_tracker_trials():
+    ds = small_dataset()
+    val = [(np.zeros((4, 5)), 0)]
+    assert "validation windows must be 4x4" in train_rejection(ds.train, val)
+    cfg = TrainConfig(epochs=1, learning_rate=0.5, seed=3, tracker_trials=0)
+    assert "tracker_trials" in train_rejection(ds.train, ds.val, cfg)
+
+
+def test_train_names_the_diverging_step():
+    ds = small_dataset()
+    lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, 1, "pre", Rng(26))
+    with pytest.raises(RuntimeError, match=r"^train: loss diverged at epoch 1, step \d+ "):
+        train(lay, ds.train, ds.val, TrainConfig(epochs=3, learning_rate=1e6, seed=4))
 
 
 def test_train_noiseless_palindrome_desk_experiment():

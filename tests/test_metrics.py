@@ -1,15 +1,19 @@
-"""Scores, activation mapping and the per-epoch equivariance tracker."""
+"""Scores, activation mapping and the per-epoch equivariance tracker.
+
+The tracker is `equivariance_report` on the layer's window map, as `train`
+calls it once per epoch.
+"""
 
 import numpy as np
 import pytest
 
+from isoattn.attention import equivariance_report
 from isoattn.groups import mirror_group, trivial_group
 from isoattn.irreps import projector_set
 from isoattn.layer import WindowAttentionLayer
 from isoattn.metrics import (
     accuracy,
     activation_mapping,
-    equivariance_tracker,
     f1,
 )
 from isoattn.numerics import Rng
@@ -129,27 +133,25 @@ def test_tracker_architecture_guarantee():
     ps = projector_set(g)
     for variant in ("pre", "post", "baseline"):
         lay = WindowAttentionLayer.random(ps, 4, 1, variant, Rng(10))
-        assert equivariance_tracker(lay, g, Rng(11), 5) < 1e-12
+        assert equivariance_report(lay.window_map, g, 4, 5, Rng(11)).max_error < 1e-12
 
 
 def test_tracker_flags_row_biased_fixture():
     class RowBiased:
-        feature_dim = 4
-
         def window_map(self, x):
             x = np.asarray(x, dtype=float)
             return x + np.arange(x.shape[-2])[:, None]
 
     g = mirror_group(6)
-    assert equivariance_tracker(RowBiased(), g, Rng(12), 5) > 1e-3
+    assert equivariance_report(RowBiased().window_map, g, 4, 5, Rng(12)).max_error > 1e-3
 
 
 def test_tracker_order_independent():
     g = mirror_group(4)
     ps = projector_set(g)
     lay = WindowAttentionLayer.random(ps, 4, 1, "pre", Rng(13))
-    a = equivariance_tracker(lay, g, Rng(14), 8)
-    b = equivariance_tracker(lay, g, Rng(14), 8)
+    a = equivariance_report(lay.window_map, g, 4, 8, Rng(14)).max_error
+    b = equivariance_report(lay.window_map, g, 4, 8, Rng(14)).max_error
     assert a == b
 
 
