@@ -14,9 +14,8 @@ from .groups import (FiniteGroup, Permutation, cyclic_group, dihedral_group,
                      mirror_group, permutation_matrix, permute_rows, reversal,
                      save_group, shift, shift_group, symmetric_group,
                      trivial_group, verify_homomorphism)
-from .irreps import (ProjectorSet, RealIrrep, isotypic_projector, load_projectors,
-                     projector_set, real_irreps, save_projectors,
-                     verify_projector_set)
+from .irreps import (ProjectorSet, RealIrrep, load_projectors, projector_set,
+                     real_irreps, save_projectors, verify_projector_set)
 from .layer import (TrainConfig, WindowAttentionLayer, finite_diff_check,
                     loss_bce, train)
 from .metrics import accuracy, activation_mapping, f1

@@ -330,7 +330,8 @@ def from_descriptor(desc: str) -> FiniteGroup:
     """Parse a group descriptor string.
 
     Grammar: cyclic:n, dihedral:n, symmetric:k, mirror:k, shift:k:step,
-    trivial:k. Anything else is rejected.
+    trivial:k. Anything else is rejected, and so is any parameter above
+    _MAX_ORDER, before a group is built: a descriptor may come from a file.
     """
     parts = desc.strip().split(":")
     kind = parts[0]
@@ -338,6 +339,8 @@ def from_descriptor(desc: str) -> FiniteGroup:
         args = [int(p) for p in parts[1:]]
     except ValueError:
         raise ValueError(f"bad group descriptor {desc!r}: numeric parameters expected") from None
+    if any(a > _MAX_ORDER for a in args):
+        raise ValueError(f"bad group descriptor {desc!r}: parameters are capped at {_MAX_ORDER}")
     makers = {"cyclic": (cyclic_group, 1), "dihedral": (dihedral_group, 1),
               "symmetric": (symmetric_group, 1), "mirror": (mirror_group, 1),
               "trivial": (trivial_group, 1), "shift": (shift_group, 2)}
@@ -375,37 +378,32 @@ def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
     return HomomorphismReport(pairs_checked=g.order * g.order, violations=tuple(violations))
 
 
+def _group_lines(g: FiniteGroup) -> list[str]:
+    return [f"group {g.descriptor}", f"kind {g.kind}", f"n {g.n}", f"degree {g.degree}",
+            f"order {g.order}"] + ["elem " + " ".join(map(str, p.mapping)) for p in g.elements]
+
+
 def save_group(g: FiniteGroup, path: str) -> None:
     """Write the group to a structured text file (descriptor and elements)."""
-    lines = [f"group {g.descriptor}", f"kind {g.kind}", f"n {g.n}",
-             f"degree {g.degree}", f"order {g.order}"]
-    for p in g.elements:
-        lines.append("elem " + " ".join(str(i) for i in p.mapping))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_group_lines(g)) + "\n")
 
 
 def load_group(path: str) -> FiniteGroup:
-    """Rebuild a group saved by save_group, verifying the element list."""
-    header: dict[str, str] = {}
-    mappings: list[tuple[int, ...]] = []
+    """Rebuild a group saved by save_group: from its descriptor, or from its
+    element list for a custom group. Every line of the file must then match
+    what save_group writes for the rebuilt group; anything else raises
+    ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            if key == "elem":
-                mappings.append(tuple(int(t) for t in rest.split()))
-            else:
-                header[key] = rest
-    if "group" not in header:
+        lines = [line.split() for line in fh if line.strip()]
+    if not lines or lines[0][0] != "group" or len(lines[0]) != 2:
         raise ValueError(f"group file {path!r} has no descriptor line")
-    desc = header["group"]
+    desc = lines[0][1]
     if desc == "custom":
-        return from_permutations(mappings)
-    g = from_descriptor(desc)
-    stored = [p.mapping for p in g.elements]
-    if stored != mappings:
+        g = from_permutations([tuple(int(t) for t in toks[1:])
+                               for toks in lines if toks[0] == "elem"])
+    else:
+        g = from_descriptor(desc)
+    if lines != [line.split() for line in _group_lines(g)]:
         raise ValueError(f"group file {path!r} does not match descriptor {desc!r}")
     return g

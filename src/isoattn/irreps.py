@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, from_descriptor
 from .numerics import Matrix, frobenius_sq
 
 _INTEGRALITY_TOL = 1e-9
@@ -146,19 +146,6 @@ def _projector_coefficient(irrep: RealIrrep) -> float:
     return irrep.dim / 2.0 if irrep.pair else float(irrep.dim)
 
 
-def _check_member(g: FiniteGroup, irrep: RealIrrep) -> None:
-    for candidate in real_irreps(g):
-        if candidate.label == irrep.label and candidate == irrep:
-            return
-    raise ValueError(f"irrep {irrep.label!r} does not belong to group {g.descriptor}")
-
-
-def isotypic_projector(g: FiniteGroup, irrep: RealIrrep) -> Matrix:
-    """Average the action against the character, as in the formula above."""
-    _check_member(g, irrep)
-    return _projector(g, irrep)
-
-
 def _projector(g: FiniteGroup, irrep: RealIrrep) -> Matrix:
     # action(h) has its ones at (perm[h, j], j): add chi(h^-1) there, in h order.
     k = g.degree
@@ -184,8 +171,11 @@ class ProjectorSet:
     """All isotypic projectors of a group action on its window."""
 
     group: FiniteGroup
-    window: int
     items: tuple[ProjectorItem, ...]
+
+    @property
+    def window(self) -> int:
+        return self.group.degree
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -201,8 +191,7 @@ def projector_set(g: FiniteGroup) -> ProjectorSet:
     The multiplicity of an irrep is trace(P)/dim; a non-integer value (beyond
     1e-9) means the character data and the action disagree, which is an
     internal error. Irreps that do not occur are kept with an exactly zero
-    projector and flagged absent. The irreps come from real_irreps(g), so
-    they skip isotypic_projector's membership check.
+    projector and flagged absent.
     """
     items = []
     total_dim = 0
@@ -223,7 +212,7 @@ def projector_set(g: FiniteGroup) -> ProjectorSet:
         raise RuntimeError(
             f"projector_set: multiplicities of {g.descriptor} fill {total_dim} "
             f"of {g.degree} dimensions")
-    return ProjectorSet(group=g, window=g.degree, items=tuple(items))
+    return ProjectorSet(group=g, items=tuple(items))
 
 
 @dataclass(frozen=True)
@@ -283,20 +272,9 @@ def verify_projector_set(ps: ProjectorSet) -> ProjectorSetReport:
             for p in chunks for h in range(0, len(fwd), hs)]))
 
 
-@dataclass(frozen=True, eq=False)
-class LoadedProjector:
-    label: str
-    dim: int
-    multiplicity: int
-    pair: bool
-    matrix: Matrix
-
-
-@dataclass(frozen=True, eq=False)
-class LoadedProjectorSet:
-    descriptor: str
-    window: int
-    items: tuple[LoadedProjector, ...]
+def _irrep_line(item: ProjectorItem) -> str:
+    ir = item.irrep
+    return f"irrep {ir.label} dim {ir.dim} mult {item.multiplicity} pair {int(ir.pair)}"
 
 
 def save_projectors(ps: ProjectorSet, path: str) -> None:
@@ -306,45 +284,44 @@ def save_projectors(ps: ProjectorSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"group {ps.group.descriptor}\nwindow {ps.window}\n")
         for item in ps.items:
-            ir = item.irrep
-            fh.write(f"irrep {ir.label} dim {ir.dim} mult {item.multiplicity} pair {int(ir.pair)}\n")
+            fh.write(_irrep_line(item) + "\n")
             fh.writelines("  " + " ".join(format(v, ".17g") for v in row) + "\n"
                           for row in item.projector)
 
 
-def load_projectors(path: str) -> LoadedProjectorSet:
-    descriptor = ""
-    window = 0
-    items: list[LoadedProjector] = []
-    label = ""
-    dim = mult = pair = 0
-    rows: list[list[float]] = []
+def load_projectors(path: str) -> ProjectorSet:
+    """Read a file written by save_projectors back as the ProjectorSet it holds.
 
-    def flush():
-        if label:
-            m = np.asarray(rows, dtype=np.float64)
-            if m.shape != (window, window):
-                raise ValueError(f"projector file {path!r}: {label} has shape {m.shape}")
-            m.setflags(write=False)
-            items.append(LoadedProjector(label, dim, mult, bool(pair), m))
-
+    The file's shape is checked first: a `group` and a `window` header, then
+    blocks of one `irrep` line and `window` rows of `window` numbers. The set
+    is then rebuilt from the group descriptor, and every block must match it
+    exactly: the irrep line token for token and the matrix bit for bit.
+    Anything else raises ValueError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("group "):
-                descriptor = line.split(None, 1)[1]
-            elif line.startswith("window "):
-                window = int(line.split()[1])
-            elif line.startswith("irrep "):
-                flush()
-                toks = line.split()
-                label, dim, mult, pair = toks[1], int(toks[3]), int(toks[5]), int(toks[7])
-                rows = []
-            else:
-                rows.append([float(t) for t in line.split()])
-    flush()
-    if not descriptor or window < 1:
-        raise ValueError(f"projector file {path!r} is missing its header")
-    return LoadedProjectorSet(descriptor=descriptor, window=window, items=tuple(items))
+        lines = [line.split() for line in fh if line.strip()]
+    try:
+        if [t[0] for t in lines[:2]] != ["group", "window"] or len(lines[0]) != 2 \
+                or len(lines[1]) != 2:
+            raise ValueError("expected a 'group <descriptor>' and a 'window <k>' header")
+        window = int(lines[1][1])
+        if len(lines) > 2 and lines[2][0] != "irrep":
+            raise ValueError("matrix rows before the first irrep line")
+        starts = [i for i, toks in enumerate(lines) if toks[0] == "irrep"]
+        blocks = []
+        for s, e in zip(starts, starts[1:] + [len(lines)]):
+            rows = lines[s + 1:e]
+            if len(rows) != window or any(len(r) != window for r in rows):
+                raise ValueError(f"block {' '.join(lines[s])!r} is not {window} rows "
+                                 f"of {window} numbers")
+            blocks.append((lines[s], np.array([[float(t) for t in r] for r in rows])))
+        ps = projector_set(from_descriptor(lines[0][1]))
+        if len(blocks) != len(ps.items):
+            raise ValueError(f"{ps.group.descriptor} has {len(ps.items)} irrep blocks, "
+                             f"the file {len(blocks)}")
+        for (head, m), item in zip(blocks, ps.items):
+            if head != _irrep_line(item).split() or not np.array_equal(m, item.projector):
+                raise ValueError(f"block {' '.join(head)!r} does not match {_irrep_line(item)!r}")
+    except ValueError as exc:
+        raise ValueError(f"projector file {path!r}: {exc}") from None
+    return ps

@@ -219,6 +219,9 @@ def load_windows(path: str) -> tuple[SequenceWindow, ...]:
             if len(toks) < 3:
                 raise ValueError(f"bad window record {line!r}")
             text, label, alphabet_size = toks[0], int(toks[1]), int(toks[2])
+            if not 2 <= alphabet_size <= MAX_ALPHABET:
+                raise ValueError(f"bad window record {line!r}: alphabet_size must be in "
+                                 f"[2, {MAX_ALPHABET}]")
             meta = toks[3] if len(toks) > 3 else ""
             out.append(SequenceWindow(text_to_symbols(text, alphabet_size),
                                       alphabet_size, label, meta))

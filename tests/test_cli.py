@@ -49,6 +49,14 @@ def test_info_rejects_untabulated_group(capsys):
     assert "error" in err
 
 
+def test_group_parameter_above_the_cap_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "never.proj"
+    code, _, err = run(capsys, "projectors", "--group", "cyclic:121", "--out", str(out))
+    assert code == 2
+    assert "capped at 120" in err
+    assert not out.exists()
+
+
 def test_projectors_export_and_roundtrip(tmp_path, capsys):
     out = tmp_path / "proj_c2.txt"
     code, text, _ = run(capsys, "projectors", "--group", "cyclic:2", "--out", str(out))
@@ -57,15 +65,15 @@ def test_projectors_export_and_roundtrip(tmp_path, capsys):
     assert out.exists()
     loaded = load_projectors(str(out))
     ps = projector_set(cyclic_group(2))
-    assert loaded.descriptor == ps.group.descriptor
+    assert loaded.group.descriptor == ps.group.descriptor
     assert loaded.window == ps.window
     for got, want in zip(loaded.items, ps.items):
-        assert got.label == want.irrep.label
-        assert np.array_equal(got.matrix, want.projector)
+        assert got.irrep == want.irrep
+        assert np.array_equal(got.projector, want.projector)
     eye = np.eye(2)
     r = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(loaded.items[0].matrix, (eye + r) / 2, atol=1e-15)
-    assert np.allclose(loaded.items[1].matrix, (eye - r) / 2, atol=1e-15)
+    assert np.allclose(loaded.items[0].projector, (eye + r) / 2, atol=1e-15)
+    assert np.allclose(loaded.items[1].projector, (eye - r) / 2, atol=1e-15)
 
 
 def test_projectors_cyclic_three(tmp_path, capsys):
@@ -74,8 +82,8 @@ def test_projectors_cyclic_three(tmp_path, capsys):
     assert code == 0
     loaded = load_projectors(str(out))
     ones = np.full((3, 3), 1.0 / 3.0)
-    assert np.allclose(loaded.items[0].matrix, ones, atol=1e-15)
-    assert np.allclose(loaded.items[1].matrix, np.eye(3) - ones, atol=1e-15)
+    assert np.allclose(loaded.items[0].projector, ones, atol=1e-15)
+    assert np.allclose(loaded.items[1].projector, np.eye(3) - ones, atol=1e-15)
 
 
 def test_check_passes_for_pre(capsys):

@@ -319,10 +319,27 @@ def test_from_descriptor():
     assert from_descriptor("mirror:6").degree == 6
     assert from_descriptor("shift:9:3").order == 3
     assert from_descriptor("trivial:5").order == 1
+    assert from_descriptor("cyclic:120").order == 120
+    assert from_descriptor("shift:120:60").order == 2
     for bad in ("cyclic", "cyclic:x", "wedge:3", "symmetric:9", "shift:9",
                 "shift:9:2", "cyclic:0"):
         with pytest.raises(ValueError):
             from_descriptor(bad)
+
+
+@pytest.mark.parametrize("desc", ["cyclic:121", "dihedral:121", "symmetric:121", "mirror:121",
+                                  "trivial:121", "shift:121:1", "shift:242:121",
+                                  "cyclic:100000"])
+def test_from_descriptor_caps_parameters_before_building(desc, monkeypatch):
+    import isoattn.groups as groups_module
+
+    built = []
+    for name in ("cyclic_group", "dihedral_group", "symmetric_group", "mirror_group",
+                 "trivial_group", "shift_group"):
+        monkeypatch.setattr(groups_module, name, lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="capped at 120"):
+        from_descriptor(desc)
+    assert built == []
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -343,6 +360,28 @@ def test_save_load_custom_group(tmp_path):
     back = load_group(str(path))
     assert back.order == 6
     assert {p.mapping for p in back.elements} == {p.mapping for p in g.elements}
+
+
+@pytest.mark.parametrize("edit", [("order 8", "order 9"), ("kind dihedral", "kind cyclic"),
+                                  ("n 4", "n 5"), ("group dihedral:4", "group custom")])
+def test_load_group_rejects_a_header_that_disagrees(tmp_path, edit):
+    path = tmp_path / "d4.grp"
+    save_group(dihedral_group(4), str(path))
+    path.write_text(path.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+    with pytest.raises(ValueError, match="does not match"):
+        load_group(str(path))
+
+
+def test_load_group_rejects_a_truncated_custom_group(tmp_path):
+    # The first two elements of S3 in this order form a closed subgroup, so
+    # only the stored order line tells the cut apart from a group of order 2.
+    perms = [Permutation(p) for p in itertools.permutations(range(3))]
+    path = tmp_path / "custom.grp"
+    save_group(from_permutations(perms), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:7]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="does not match"):
+        load_group(str(path))
 
 
 def test_cycle_type():

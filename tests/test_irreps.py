@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from isoattn.groups import (
     trivial_group,
 )
 from isoattn.irreps import (
+    ProjectorSet,
     ProjectorSetReport,
-    RealIrrep,
-    isotypic_projector,
+    _projector,
     load_projectors,
     projector_set,
     real_irreps,
@@ -105,34 +106,20 @@ def test_one_dim_characters_orthogonal_to_trivial():
             assert abs(sum(irr.characters)) < 1e-12
 
 
+def projectors_by_label(g):
+    return {item.irrep.label: item.projector for item in projector_set(g).items}
+
+
 def test_projector_z2_closed_forms():
-    g = cyclic_group(2)
-    irr = {i.label: i for i in real_irreps(g)}
-    p_triv = isotypic_projector(g, irr["trivial"])
-    p_sign = isotypic_projector(g, irr["sign"])
-    assert np.array_equal(p_triv, [[0.5, 0.5], [0.5, 0.5]])
-    assert np.array_equal(p_sign, [[0.5, -0.5], [-0.5, 0.5]])
+    p = projectors_by_label(cyclic_group(2))
+    assert np.array_equal(p["trivial"], [[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(p["sign"], [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_projector_c3_closed_forms():
-    g = cyclic_group(3)
-    irr = real_irreps(g)
-    triv = next(i for i in irr if i.label == "trivial")
-    pair = next(i for i in irr if i.pair)
-    p_triv = isotypic_projector(g, triv)
-    assert np.abs(p_triv - 1.0 / 3.0).max() < 1e-15
-    p_pair = isotypic_projector(g, pair)
-    assert np.abs(p_pair - (np.eye(3) - 1.0 / 3.0)).max() < 1e-15
-
-
-def test_projector_rejects_foreign_irrep():
-    g = cyclic_group(2)
-    other = real_irreps(cyclic_group(3))[0]
-    with pytest.raises(ValueError):
-        isotypic_projector(g, other)
-    fake = RealIrrep(label="trivial", dim=1, characters=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        isotypic_projector(g, fake)
+    p = projectors_by_label(cyclic_group(3))
+    assert np.abs(p["trivial"] - 1.0 / 3.0).max() < 1e-15
+    assert np.abs(p["rot_1"] - (np.eye(3) - 1.0 / 3.0)).max() < 1e-15
 
 
 def test_projector_set_reads_the_character_table_once(monkeypatch):
@@ -145,12 +132,12 @@ def test_projector_set_reads_the_character_table_once(monkeypatch):
         return real_irreps(g)
 
     monkeypatch.setattr(irreps_module, "real_irreps", counted)
-    ps = projector_set(dihedral_group(6))
+    g = dihedral_group(6)
+    ps = projector_set(g)
     assert len(calls) == 1
     for item in ps.items:
-        assert np.array_equal(item.projector,
-                              isotypic_projector(dihedral_group(6), item.irrep)
-                              if not item.absent else np.zeros((6, 6)))
+        want = np.zeros((6, 6)) if item.absent else reference_projector(g, item.irrep)
+        assert item.projector.tobytes() == want.tobytes()
 
 
 def test_projector_stack_matches_items():
@@ -229,14 +216,18 @@ def reference_projector(g, irrep):
     return acc * (coeff / g.order)
 
 
-@pytest.mark.parametrize("desc", [f"cyclic:{n}" for n in range(1, 13)]
+DESCRIPTORS = ([f"cyclic:{n}" for n in range(1, 13)]
                          + [f"dihedral:{n}" for n in range(1, 13)]
                          + [f"symmetric:{k}" for k in range(1, 6)]
                          + ["mirror:6", "shift:6:2", "shift:6:3", "trivial:3"])
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_projectors_match_reference_sum_bitwise(desc):
+    # Every irrep, absent ones included: projector_set zeroes those afterwards.
     g = from_descriptor(desc)
     for irrep in real_irreps(g):
-        assert isotypic_projector(g, irrep).tobytes() == reference_projector(g, irrep).tobytes()
+        assert _projector(g, irrep).tobytes() == reference_projector(g, irrep).tobytes()
 
 
 def reference_report(ps):
@@ -322,12 +313,102 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         path = tmp_path / f"{g.descriptor.replace(':', '_')}.proj"
         save_projectors(ps, str(path))
         back = load_projectors(str(path))
-        assert back.descriptor == g.descriptor
+        assert isinstance(back, ProjectorSet)
+        assert back.group.descriptor == g.descriptor
         assert back.window == g.degree
         assert len(back.items) == len(ps.items)
         for loaded, item in zip(back.items, ps.items):
-            assert loaded.label == item.irrep.label
-            assert loaded.dim == item.irrep.dim
+            assert loaded.irrep == item.irrep
             assert loaded.multiplicity == item.multiplicity
-            assert loaded.pair == item.irrep.pair
-            assert np.array_equal(loaded.matrix, item.projector)
+            assert np.array_equal(loaded.projector, item.projector)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS + ["cyclic:120"])
+def test_load_returns_the_rebuilt_set_bitwise(desc, tmp_path):
+    ps = projector_set(from_descriptor(desc))
+    path = tmp_path / "p.proj"
+    save_projectors(ps, str(path))
+    back = load_projectors(str(path))
+    assert isinstance(back, ProjectorSet)
+    assert back.stack.tobytes() == ps.stack.tobytes()
+
+
+def test_window_is_the_group_degree():
+    ps = projector_set(shift_group(9, 3))
+    assert ps.window == ps.group.degree == 9
+    with pytest.raises(TypeError):
+        ProjectorSet(group=ps.group, window=9, items=ps.items)
+
+
+def saved_lines(tmp_path, desc="cyclic:3"):
+    path = tmp_path / "saved.proj"
+    save_projectors(projector_set(from_descriptor(desc)), str(path))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def assert_rejected(tmp_path, lines):
+    path = tmp_path / "bad.proj"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(repr(str(path)))):
+        load_projectors(str(path))
+
+
+def test_load_rejects_a_short_irrep_line(tmp_path):
+    lines = saved_lines(tmp_path)
+    lines[2] = "irrep trivial dim"
+    assert_rejected(tmp_path, lines)
+
+
+def test_load_rejects_rows_before_the_first_irrep_line(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert_rejected(tmp_path, lines[:2] + [lines[3]] + lines[2:])
+
+
+def test_load_rejects_a_bare_window_line(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert_rejected(tmp_path, [lines[0], "window"] + lines[2:])
+    assert_rejected(tmp_path, lines[:2] + ["window"] + lines[2:])
+
+
+def test_load_rejects_one_tampered_entry(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert lines[3].split()[0] == "0.33333333333333331"
+    lines[3] = lines[3].replace("0.33333333333333331", "0.33333333333333337", 1)
+    assert_rejected(tmp_path, lines)
+
+
+def test_load_rejects_every_entry_set_to_nine(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert_rejected(tmp_path, [line if line.startswith(("group", "window", "irrep"))
+                               else "  9 9 9" for line in lines])
+
+
+def test_load_rejects_a_wrong_multiplicity(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert lines[2] == "irrep trivial dim 1 mult 1 pair 0"
+    lines[2] = "irrep trivial dim 1 mult 2 pair 0"
+    assert_rejected(tmp_path, lines)
+
+
+def test_load_rejects_a_missing_block(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert len(lines) == 10  # header, then two blocks of an irrep line and 3 rows
+    assert_rejected(tmp_path, lines[:6])
+    assert_rejected(tmp_path, lines[:2] + lines[6:])
+
+
+def test_load_rejects_a_window_that_differs_from_the_group(tmp_path):
+    lines = saved_lines(tmp_path, "mirror:2")
+    assert_rejected(tmp_path, ["group mirror:3"] + lines[1:])
+
+
+def test_load_rejects_an_oversized_descriptor_at_once(tmp_path, monkeypatch):
+    # Building cyclic:100000 would need tens of GB, so the test fails on a
+    # stub instead if the descriptor cap is ever lost.
+    import isoattn.groups as groups_module
+
+    built = []
+    monkeypatch.setattr(groups_module, "cyclic_group", lambda n: built.append(n))
+    assert_rejected(tmp_path, ["group cyclic:100000", "window 100000"])
+    assert_rejected(tmp_path, ["group cyclic:99999999", "window 2"])
+    assert built == []

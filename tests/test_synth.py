@@ -203,3 +203,12 @@ def test_save_load_roundtrip(tmp_path):
 def test_window_features_match_symbols():
     w = SequenceWindow((0, 2, 1), 4, 1, "hand")
     assert np.array_equal(w.features, encode_onehot((0, 2, 1), 4))
+
+
+@pytest.mark.parametrize("alphabet_size", [1, 27, 99])
+def test_load_rejects_alphabet_out_of_range(tmp_path, alphabet_size):
+    path = tmp_path / "windows.txt"
+    path.write_text(f"AAAA 1 4 palindrome\nAAAA 1 {alphabet_size} palindrome\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"'AAAA 1 {alphabet_size} palindrome'"):
+        load_windows(str(path))
