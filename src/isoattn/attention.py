@@ -13,8 +13,12 @@ Two decompositions split it into one channel per isotypic projector P:
           defined as the channel sum. Each channel is itself equivariant,
           but the total is not numerically equal to plain attention.
 
-Channels whose irrep does not occur in the window carry a zero projector:
-their weights are uniform rows and their output is exactly zero.
+Channels whose irrep does not occur in the window (absent in the projector
+set) are skipped: attention runs only in the present channels, and each
+absent channel is filled in with what its zero projector would give, uniform
+weights 1/k in every entry and an exactly zero output. Adding that zero to
+the channel sum changes no value, so the results are the same as attending
+in every channel.
 
 Every attention in the package runs through one batched kernel: `project`
 splits a stack of windows into channels, `channel_attention` attends in all
@@ -49,7 +53,7 @@ def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 #
 # Shapes: B windows, C channels, n window rows, d features. A stack of
 # windows (B, n, d) is split into channels by a projector stack (C, n, n),
-# such as ProjectorSet.stack; a stack of None stands for one unprojected
+# such as ProjectorSet.present_stack; a stack of None stands for one unprojected
 # channel (plain attention) and skips the projection. Attention then runs in
 # every channel of every window at once.
 
@@ -143,21 +147,31 @@ def decompose_post(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
     _check_window(q, ps)
     att = _channels(q, k, v, None)
     weights = _like(att.weights[:, 0], q)
-    outputs = ps.stack @ att.total[:, None]
-    channels = tuple(Channel(item.irrep.label, _like(outputs[:, c], q), weights)
+    present = dict(zip(ps.present, (ps.present_stack @ att.total[:, None]).swapaxes(0, 1)))
+    channels = tuple(Channel(item.irrep.label,
+                             _like(present[c] if c in present else np.zeros_like(att.total), q),
+                             weights)
                      for c, item in enumerate(ps.items))
     return DecompositionOutput(total=_like(att.total, q), channels=channels)
 
 
 def decompose_pre(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
-    """Run attention inside each isotypic component and sum the results."""
+    """Run attention inside each isotypic component and sum the results.
+
+    Only the present channels attend. An absent channel's zero projector
+    would give all-zero scores, whose row softmax is 1/k in every entry, and
+    a zero output; the channel gets those values without computing them."""
     q, k, v = _check_qkv(q, k, v)
     _check_window(q, ps)
-    att = _channels(q, k, v, ps.stack)
-    channels = tuple(Channel(item.irrep.label, _like(att.outputs[:, c], q),
-                             _like(att.weights[:, c], q))
-                     for c, item in enumerate(ps.items))
-    return DecompositionOutput(total=_like(att.total, q), channels=channels)
+    att = _channels(q, k, v, ps.present_stack)
+    b, _, n, d = att.outputs.shape
+    present = dict(zip(ps.present, zip(att.outputs.swapaxes(0, 1), att.weights.swapaxes(0, 1))))
+    channels = []
+    for c, item in enumerate(ps.items):
+        out, wts = (present[c] if c in present
+                    else (np.zeros((b, n, d)), np.full((b, n, n), 1.0 / n)))
+        channels.append(Channel(item.irrep.label, _like(out, q), _like(wts, q)))
+    return DecompositionOutput(total=_like(att.total, q), channels=tuple(channels))
 
 
 # ---------- equivariance of window maps ----------
@@ -211,7 +225,7 @@ def equivariance_report(fn, g: FiniteGroup, feature_dim: int, trials: int,
     if trials < 1:
         raise ValueError(f"equivariance_report: trials must be >= 1, got {trials}")
     # Row i is h_i^-1, so x[inv] stacks action(h_i) x = x[h_i^-1] for every i.
-    inv = np.argsort(g.perm, axis=1)
+    inv = g.inverse_perm
     chunk = max(1, _REPORT_CHUNK // g.degree ** 2)
     errors = []
     for _ in range(trials):

@@ -32,7 +32,15 @@ from .numerics import Matrix
 
 _MAX_ORDER = 120
 _MAX_SYMMETRIC = 5
+# The largest order a descriptor builds: dihedral:120, from the largest
+# parameter. verify_homomorphism checks groups up to this order; a group
+# built any other way is capped there too.
+_MAX_BUILT_ORDER = 2 * _MAX_ORDER
 _CODE_CAP = np.iinfo(np.int64).max
+# Product entries per block in _cayley_by_lookup: 128 KB of intp. Blocks
+# this small reuse freed heap memory; with 1 << 20 entries, building
+# symmetric:5 after other work touched about 140 fresh pages per call.
+_LOOKUP_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,17 @@ class FiniteGroup:
         perm.setflags(write=False)
         return perm
 
+    @cached_property
+    def inverse_perm(self) -> np.ndarray:
+        """The inverse mappings as one read-only (order, degree) int array.
+
+        Row i is the mapping of elements[i]^-1, the inverse of row i of perm,
+        so x[inverse_perm[i]] is action(elements[i]) x for a window x.
+        """
+        inv = self.perm[list(self.inverse)]
+        inv.setflags(write=False)
+        return inv
+
 
 def _conjugacy_classes(cayley: np.ndarray, inverse: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     order = len(inverse)
@@ -186,13 +205,24 @@ def _row_codes(rows: np.ndarray, k: int) -> np.ndarray:
 
 def _cayley_by_lookup(perm: np.ndarray) -> np.ndarray:
     """Table of distinct mappings: entry (i, j) is the row index of the
-    product perm[i][perm[j]] (apply j first), or -1 where it is not a row."""
+    product perm[i][perm[j]] (apply j first), or -1 where it is not a row.
+
+    The products are built a block of table rows at a time, at most
+    _LOOKUP_BUDGET entries per block, so memory does not grow with the
+    degree. Codes are only comparable within one _row_codes call, so each
+    block is encoded together with perm."""
     n, k = perm.shape
-    codes = _row_codes(np.concatenate([perm, perm[:, perm].reshape(-1, k)]), k)
-    order = np.argsort(codes[:n])
-    known = codes[:n][order]
-    pos = np.searchsorted(known, codes[n:]).clip(max=n - 1)
-    return np.where(known[pos] == codes[n:], order[pos], -1).reshape(n, n)
+    rows = max(1, _LOOKUP_BUDGET // (n * k))
+    table = np.empty((n, n), dtype=np.int64)
+    for start in range(0, n, rows):
+        block = perm[start:start + rows][:, perm].reshape(-1, k)
+        codes = _row_codes(np.concatenate([perm, block]), k)
+        order = np.argsort(codes[:n])
+        known = codes[:n][order]
+        pos = np.searchsorted(known, codes[n:]).clip(max=n - 1)
+        table[start:start + rows] = np.where(known[pos] == codes[n:], order[pos],
+                                             -1).reshape(-1, n)
+    return table
 
 
 def _assemble(kind: str, n: int, degree: int, descriptor: str,
@@ -368,8 +398,9 @@ def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
     P(h_i) P(h_j) = P(h_i o h_j), so row i of the table holds where the
     composed mappings perm[i][perm] equal perm[cayley[i]].
     """
-    if g.order > _MAX_ORDER:
-        raise ValueError(f"verify_homomorphism: order {g.order} exceeds the cap {_MAX_ORDER}")
+    if g.order > _MAX_BUILT_ORDER:
+        raise ValueError(f"verify_homomorphism: order {g.order} exceeds the cap "
+                         f"{_MAX_BUILT_ORDER}")
     perm = g.perm
     violations = []
     for i in range(g.order):

@@ -168,7 +168,13 @@ class ProjectorItem:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """All isotypic projectors of a group action on its window."""
+    """All isotypic projectors of a group action on its window.
+
+    `stack` holds every item's projector, absent ones (exactly zero)
+    included. `present` indexes the items whose irrep occurs in the action,
+    and `present_stack` holds only their projectors: attention runs on it,
+    since an absent channel's result is known without computing it.
+    """
 
     group: FiniteGroup
     items: tuple[ProjectorItem, ...]
@@ -181,6 +187,22 @@ class ProjectorSet:
     def stack(self) -> np.ndarray:
         """The projectors as one read-only (channels, window, window) array."""
         stack = np.stack([item.projector for item in self.items])
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def present(self) -> tuple[int, ...]:
+        """Indices into items of the irreps that occur, in item order."""
+        return tuple(c for c, item in enumerate(self.items) if not item.absent)
+
+    @cached_property
+    def present_stack(self) -> np.ndarray:
+        """The projectors of the present items as one read-only
+        (len(present), window, window) array; stack itself when every irrep
+        is present."""
+        if len(self.present) == len(self.items):
+            return self.stack
+        stack = self.stack[list(self.present)]
         stack.setflags(write=False)
         return stack
 
@@ -258,8 +280,7 @@ def verify_projector_set(ps: ProjectorSet) -> ProjectorSetReport:
     per = max(1, _VERIFY_CHUNK // k ** 2)
     chunks = [st[c:c + per] for c in range(0, len(st), per)]
     left, right = np.triu_indices(len(st), 1)
-    fwd = ps.group.perm
-    back = np.argsort(fwd, axis=1)
+    fwd, back = ps.group.perm, ps.group.inverse_perm
     hs = max(1, per // len(chunks[0]))  # group elements per projector chunk
     return ProjectorSetReport(
         idempotency=_max_norm([_squared_norms(p @ p - p) for p in chunks]),

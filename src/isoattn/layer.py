@@ -170,13 +170,15 @@ class WindowAttentionLayer:
     def _project(self, x) -> np.ndarray:
         """The channel stack (B, C, k, d) of one window (k, d) or a stack
         (B, k, d). Projecting x before the weight maps is the same as
-        projecting q, k and v: P_c (x w) = (P_c x) w."""
+        projecting q, k and v: P_c (x w) = (P_c x) w. The pre variant
+        projects onto the present channels only (ProjectorSet.present_stack):
+        an absent channel adds an exact zero to y and to every gradient."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-2:] != (self.window, self.feature_dim) or x.ndim not in (2, 3) \
                 or x.shape[0] < 1:
             raise ValueError(f"forward: expected {self.window}x{self.feature_dim} windows, "
                              f"got shape {x.shape}")
-        return project(self.projectors.stack if self.variant == "pre" else None,
+        return project(self.projectors.present_stack if self.variant == "pre" else None,
                        x.reshape(-1, self.window, self.feature_dim))
 
     def _attend(self, px: np.ndarray) -> ChannelAttention:
@@ -221,7 +223,10 @@ class WindowAttentionLayer:
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Logits of one window (k, d), shape (n_classes,), or of a stack
         (B, k, d), shape (B, n_classes). The cache entries y, pooled and
-        energy carry the same leading window axis as the input."""
+        energy carry the same leading window axis as the input; energy has
+        one entry per projector item. The channel axis of px and attention
+        counts the attending channels: one for baseline and post, the present
+        channels (len(projectors.present)) for pre."""
         px = self._project(x)
         logits, (_, att, pooled, energy) = self._forward(px)
         y = att.total

@@ -85,12 +85,14 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     backgrounds = [_window_features(w) for w in background_windows]
     if not motifs or not backgrounds:
         raise ValueError("activation_mapping: both window sets must be non-empty")
-    stack = layer.projectors.stack
+    ps = layer.projectors
 
     def set_masses(windows) -> list[float | None]:
+        # Masses of the present channels; an absent channel's zero projector
+        # leaves no valid row in any window, so its entry is None.
         masses, counted = [], []
         for start in range(0, len(windows), EVAL_CHUNK):
-            px = project(stack, np.stack(windows[start:start + EVAL_CHUNK]))
+            px = project(ps.present_stack, np.stack(windows[start:start + EVAL_CHUNK]))
             qp, kp = px @ layer.w_q, px @ layer.w_k
             wts = channel_weights(qp, kp)
             valid_rows = np.abs(qp).max(axis=-1) > _ZERO_ROW_TOL  # (B, C, k)
@@ -101,11 +103,14 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
             # A window counts for a channel when it has a valid row and column.
             counted.append((n_rows > 0) & valid_cols.any(axis=-1))  # (B, C)
         masses, counted = np.concatenate(masses), np.concatenate(counted)
-        return [float(masses[counted[:, c], c].mean()) if counted[:, c].any() else None
-                for c in range(len(stack))]
+        out = [None] * len(ps.items)
+        for j, c in enumerate(ps.present):
+            if counted[:, j].any():
+                out[c] = float(masses[counted[:, j], j].mean())
+        return out
 
     rows = []
-    for item, motif_mass, background_mass in zip(layer.projectors.items,
+    for item, motif_mass, background_mass in zip(ps.items,
                                                  set_masses(motifs),
                                                  set_masses(backgrounds)):
         ratio = None

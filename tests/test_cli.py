@@ -43,6 +43,16 @@ def test_info_dihedral_four(capsys):
     assert "classes 5" in out
 
 
+@pytest.mark.parametrize("desc, order", [("dihedral:61", 122), ("dihedral:120", 240)])
+def test_info_verifies_every_group_a_descriptor_builds(desc, order, capsys):
+    # dihedral:61 .. dihedral:120 exceed order 120 but are built from
+    # descriptors, so they must verify.
+    code, out, err = run(capsys, "info", "--group", desc)
+    assert code == 0 and err == ""
+    assert f"order {order}" in out
+    assert f"homomorphism ok ({order * order} pairs)" in out
+
+
 def test_info_rejects_untabulated_group(capsys):
     code, _, err = run(capsys, "info", "--group", "symmetric:9")
     assert code == 2

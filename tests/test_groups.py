@@ -2,12 +2,16 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import isoattn.groups as groups_module
 from isoattn.groups import (
     FiniteGroup,
+    _cayley_by_lookup,
+    _row_codes,
     Permutation,
     cyclic_group,
     dihedral_group,
@@ -211,6 +215,20 @@ def test_homomorphism_reports():
     assert rep.ok and rep.pairs_checked == 64
 
 
+@pytest.mark.parametrize("desc", ["cyclic:120", "symmetric:5", "dihedral:61", "dihedral:120",
+                                  "shift:120:1"])
+def test_every_group_a_descriptor_builds_verifies(desc):
+    g = from_descriptor(desc)
+    rep = verify_homomorphism(g)
+    assert rep.ok and rep.pairs_checked == g.order ** 2
+
+
+def test_homomorphism_caps_groups_built_another_way():
+    # A family constructor called directly skips the descriptor's parameter cap.
+    with pytest.raises(ValueError, match="^verify_homomorphism: order 241 exceeds the cap 240$"):
+        verify_homomorphism(cyclic_group(241))
+
+
 def brute_violations(g, table):
     # Per-pair oracle: every (i, j), in order, whose product disagrees with table.
     mats = [permutation_matrix(p).astype(np.int64) for p in g.elements]
@@ -286,6 +304,65 @@ def test_from_permutations_large_degree(n):
     for perms in not_closed:
         with pytest.raises(ValueError, match="^from_permutations: element list is not closed"):
             from_permutations(perms)
+
+
+def ref_cayley_by_lookup(perm):
+    # The one-shot lookup: every product at once, an order x order x degree array.
+    n, k = perm.shape
+    codes = _row_codes(np.concatenate([perm, perm[:, perm].reshape(-1, k)]), k)
+    order = np.argsort(codes[:n])
+    known = codes[:n][order]
+    pos = np.searchsorted(known, codes[n:]).clip(max=n - 1)
+    return np.where(known[pos] == codes[n:], order[pos], -1).reshape(n, n)
+
+
+def block_shifts(degree, order):
+    # The cyclic group of the given order shifting a window by whole blocks
+    # of degree // order positions.
+    step = degree // order
+    return np.array([[(i + step * m) % degree for i in range(degree)] for m in range(order)],
+                    dtype=np.intp)
+
+
+LOOKUP_GROUPS = ROSTER + [from_descriptor(d) for d in ("cyclic:120", "dihedral:120",
+                                                         "shift:120:60", "mirror:120")]
+
+
+@pytest.mark.parametrize("budget", [1, 50, 1000, 1 << 14, 1 << 20])
+def test_blocked_lookup_matches_the_one_shot_table(budget, monkeypatch):
+    # Budget 1 gives one table row per block; the default fits each of these
+    # groups in one block.
+    monkeypatch.setattr(groups_module, "_LOOKUP_BUDGET", budget)
+    perms = [g.perm for g in LOOKUP_GROUPS] + [block_shifts(120, 12), block_shifts(240, 24)]
+    # A product that is not a row: the table marks it -1.
+    perms.append(np.array([identity(5).mapping, shift(5, 1).mapping], dtype=np.intp))
+    for perm in perms:
+        table = _cayley_by_lookup(perm)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, ref_cayley_by_lookup(perm))
+
+
+def test_blocked_lookup_memory_is_bounded_at_degree_1200():
+    # The one-shot lookup held 120 x 120 x 1200 products at once (138 MB,
+    # about 280 MB traced peak); the blocked one holds one table row of
+    # products (1.2 MB) at a time.
+    perm = block_shifts(1200, 120)
+    tracemalloc.start()
+    try:
+        table = _cayley_by_lookup(perm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    ref = np.add.outer(np.arange(120), np.arange(120)) % 120
+    assert np.array_equal(table, ref)
+
+
+def test_inverse_perm_is_the_argsort_of_perm():
+    for g in LOOKUP_GROUPS:
+        inv = g.inverse_perm
+        assert inv is g.inverse_perm and not inv.flags.writeable
+        assert np.array_equal(inv, np.argsort(g.perm, axis=1))
 
 
 def test_from_permutations_errors_unchanged():

@@ -148,6 +148,20 @@ def test_projector_stack_matches_items():
         assert np.array_equal(item.projector, p)
 
 
+@pytest.mark.parametrize("desc, present", [("symmetric:5", (0, 2)), ("symmetric:4", (0, 3)),
+                                            ("dihedral:12", (0, 2, 4, 5, 6, 7, 8)),
+                                            ("mirror:6", (0, 1)), ("cyclic:12", tuple(range(7)))])
+def test_present_channels_index_the_irreps_that_occur(desc, present):
+    ps = projector_set(from_descriptor(desc))
+    assert ps.present == present
+    assert ps.present == tuple(c for c, item in enumerate(ps.items) if not item.absent)
+    st = ps.present_stack
+    assert st is ps.present_stack and not st.flags.writeable
+    assert st.tobytes() == ps.stack[list(present)].tobytes()
+    # A set with every irrep present attends on its full stack.
+    assert (st is ps.stack) == (len(present) == len(ps.items))
+
+
 def test_multiplicities_z2_reversal():
     ps = projector_set(cyclic_group(2))
     mults = {item.irrep.label: item.multiplicity for item in ps.items}

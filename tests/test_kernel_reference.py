@@ -6,8 +6,14 @@ at a time. Every batched result must match them to within 1e-12, relative to
 the size of the compared values. Stacked calls of the attention functions
 and the stacked equivariance report must match their one-window calls
 bit for bit.
+
+The kernel attends only in the present channels of a projector set. The
+full-stack path, which also attends in every absent channel on its zero
+projector, is kept here as a reference: skipping those channels must change
+no value, bit for bit.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -17,7 +23,7 @@ from hypothesis import strategies as st
 
 from isoattn.attention import (attention, decompose_post, decompose_pre, equivariance_report)
 from isoattn.groups import from_descriptor, permute_rows
-from isoattn.irreps import projector_set
+from isoattn.irreps import ProjectorSet, projector_set
 from isoattn.layer import (
     VARIANTS,
     WEIGHT_NAMES,
@@ -404,3 +410,120 @@ def test_report_rejects_map_that_changes_the_stack_shape():
     for fn in (lambda m: m[..., :1, :], lambda m: m[0], lambda m: m[:1]):
         with pytest.raises(ValueError):
             equivariance_report(fn, g, 2, 1, Rng(4))
+
+
+# ---------- present channels against the full stack ----------
+
+ABSENT_DESCRIPTORS = ("symmetric:3", "symmetric:4", "symmetric:5", "dihedral:4",
+                      "dihedral:12", "cyclic:12")
+
+
+def full_stack(ps):
+    """A copy of ps whose present channels are all of its items: the kernel
+    then also attends in the absent channels, on their zero projectors."""
+    full = ProjectorSet(ps.group, ps.items)
+    full.__dict__.update(present=tuple(range(len(ps.items))), present_stack=ps.stack)
+    return full
+
+
+def assert_same_decomposition(dec, ref):
+    assert np.array_equal(dec.total, ref.total)
+    for ch, one in zip(dec.channels, ref.channels, strict=True):
+        assert ch.label == one.label
+        assert ch.output.shape == one.output.shape and ch.weights.shape == one.weights.shape
+        assert np.array_equal(ch.output, one.output)
+        assert np.array_equal(ch.weights, one.weights)
+
+
+@pytest.mark.parametrize("desc", ABSENT_DESCRIPTORS)
+@pytest.mark.parametrize("batch", [None, 1, 16])
+def test_present_channels_decompose_as_the_full_stack(desc, batch):
+    ps = projector_set(from_descriptor(desc))
+    shape = (ps.window, 4) if batch is None else (batch, ps.window, 4)
+    rng = Rng(len(desc))
+    q, k, v = (rand_matrix(rng, int(np.prod(shape[:-1])), 4, 2.0).reshape(shape)
+               for _ in range(3))
+    for decompose in (decompose_pre, decompose_post):
+        assert_same_decomposition(decompose(q, k, v, ps), decompose(q, k, v, full_stack(ps)))
+
+
+def test_absent_channels_are_uniform_with_zero_output():
+    ps = projector_set(from_descriptor("symmetric:5"))
+    rng = Rng(11)
+    q, k, v = (rand_matrix(rng, 3 * ps.window, 2, 2.0).reshape(3, ps.window, 2)
+               for _ in range(3))
+    dec = decompose_pre(q, k, v, ps)
+    assert [ch.label for ch in dec.channels] == [item.irrep.label for item in ps.items]
+    for item, ch in zip(ps.items, dec.channels, strict=True):
+        assert ch.output.shape == q.shape and ch.weights.shape == (3, 5, 5)
+        if item.absent:
+            assert np.all(ch.weights == 1.0 / 5) and np.all(ch.output == 0.0)
+        else:
+            assert np.any(ch.output != 0.0)
+    post = decompose_post(q, k, v, ps)
+    for item, ch in zip(ps.items, post.channels, strict=True):
+        assert ch.output.shape == q.shape
+        if item.absent:
+            assert np.all(ch.output == 0.0)
+
+
+def spy(monkeypatch, name, seen):
+    # import_module, because the package re-exports a function named
+    # `attention` that hides the submodule as a package attribute.
+    module = importlib.import_module(f"isoattn.{name}")
+    kernel = module.channel_attention
+
+    def spied(qp, kp, vp):
+        seen.append(qp.shape[1])
+        return kernel(qp, kp, vp)
+    monkeypatch.setattr(module, "channel_attention", spied)
+
+
+@pytest.mark.parametrize("desc", ABSENT_DESCRIPTORS)
+def test_kernel_attends_in_the_present_channels_only(desc, monkeypatch):
+    ps = projector_set(from_descriptor(desc))
+    seen = []
+    spy(monkeypatch, "attention", seen)
+    spy(monkeypatch, "layer", seen)
+    x = np.ones((2, ps.window, 3))
+    decompose_pre(x, x, x, ps)
+    lay = WindowAttentionLayer.random(ps, 3, 1, "pre", Rng(1))
+    _, cache = lay.forward(x)
+    assert cache["px"].shape == (2, len(ps.present), ps.window, 3)
+    assert cache["energy"].shape == (2, len(ps.items))
+    assert seen == [len(ps.present)] * 2
+    seen.clear()
+    decompose_post(x, x, x, ps)
+    WindowAttentionLayer.random(ps, 3, 1, "baseline", Rng(1)).forward(x)
+    assert seen == [1, 1]
+
+
+@pytest.mark.parametrize("batch_size", [1, 16])
+def test_layer_on_present_channels_runs_as_the_full_stack(batch_size):
+    ps = PROJECTORS["symmetric:4"]
+    full = full_stack(ps)
+    for variant in VARIANTS:
+        lay, ref = (WindowAttentionLayer.random(p, 3, 1, variant, Rng(7)) for p in (ps, full))
+        for layer_ in (lay, ref):
+            layer_.w_energy[...] = rand_matrix(Rng(8), *layer_.w_energy.shape, 1.0)
+        xs = make_windows(lay, 45, 9)
+        labels = Rng(10).integers(2, size=45)
+        logits, cache = lay.forward(xs)
+        ref_logits, ref_cache = ref.forward(xs)
+        assert np.array_equal(logits, ref_logits)
+        for key in ("y", "pooled", "energy"):
+            assert np.array_equal(cache[key], ref_cache[key])
+        dlogits = Rng(11).uniform(-1.0, 1.0, shape=logits.shape)
+        grads, ref_grads = lay.backward(cache, dlogits), ref.backward(ref_cache, dlogits)
+        for name in WEIGHT_NAMES:
+            assert np.array_equal(grads[name], ref_grads[name])
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=12, batch_size=batch_size,
+                          tracker_trials=1)
+        samples, val = list(zip(xs[:37], labels[:37])), list(zip(xs[37:], labels[37:]))
+        assert train(lay, samples, val, cfg) == train(ref, samples, val, cfg)
+        assert np.array_equal(lay.params, ref.params)
+        report = activation_mapping(lay, list(xs[:5]), list(xs[5:9]))
+        ref_report = activation_mapping(ref, list(xs[:5]), list(xs[5:9]))
+        assert report == ref_report
+        assert [row.motif_mass is None for row in report.rows] == [
+            item.absent for item in ps.items]
