@@ -150,6 +150,12 @@ def cmd_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     spec = _dataset_spec(args)
+    if args.epochs < 1:
+        raise UsageError(f"--epochs must be >= 1, got {args.epochs}")
+    if args.batch_size < 1:
+        raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
+    if not (np.isfinite(args.lr) and args.lr >= 0):
+        raise UsageError(f"--lr must be finite and >= 0, got {args.lr}")
     ds = synth.make_dataset(spec)
     if spec.task == "palindrome":
         g = groups.mirror_group(spec.k)

@@ -1,11 +1,14 @@
 """Finite permutation groups acting on token windows.
 
-A group here is a concrete list of permutations of window positions together
-with its abstract multiplication table. The cyclic and dihedral tables are
-built from the family structure (not by permutation lookup), so actions that
-are not faithful, such as the dihedral groups on 1 or 2 points, still carry
-the full abstract group. Symmetric groups and custom lists act faithfully and
-are tabled by looking up each composed mapping.
+A group here is one read-only (order, degree) array of window-position
+mappings, `perm`, together with its abstract multiplication table. The
+cyclic, shift, mirror, trivial and dihedral tables are built by array
+arithmetic from the family structure (not by permutation lookup), so actions
+that are not faithful, such as the dihedral groups on 1 or 2 points, still
+carry the full abstract group. Symmetric groups and custom lists act
+faithfully and are tabled by looking up each composed mapping. The identity,
+inverses and conjugacy classes are then read off the table with array
+comparisons and gathers.
 
 Families:
     cyclic_group(n)      order n, shift action on an n-window
@@ -130,6 +133,12 @@ def permute_rows(p: Permutation, x: Matrix) -> Matrix:
 class FiniteGroup:
     """A finite group with a fixed permutation action on window positions.
 
+    `perm` is the read-only (order, degree) int array of element mappings:
+    row i maps window position j to perm[i, j]. Products of permutation
+    matrices are gathers on these rows: M_p M_q = M_{p o q} with
+    (p o q) = perm[i][perm[j]], and for any matrix P, P M_p = P[:, p] and
+    M_p P = P[p^-1, :] exactly.
+
     `cayley[i, j]` is the index of elements[i] * elements[j], where the product
     acts by applying element j first. `kind` names the abstract family and `n`
     its parameter; `degree` is the window size acted on, which for the mirror,
@@ -140,7 +149,7 @@ class FiniteGroup:
     n: int
     degree: int
     descriptor: str
-    elements: tuple[Permutation, ...]
+    perm: np.ndarray
     cayley: np.ndarray
     inverse: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
@@ -148,19 +157,12 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.perm)
 
     @cached_property
-    def perm(self) -> np.ndarray:
-        """The element mappings as one read-only (order, degree) int array.
-
-        Row i is elements[i].mapping. Products of permutation matrices are
-        gathers on these rows: M_p M_q = M_{p o q} with (p o q) = perm[i][perm[j]],
-        and for any matrix P, P M_p = P[:, p] and M_p P = P[p^-1, :] exactly.
-        """
-        perm = np.array([p.mapping for p in self.elements], dtype=np.intp)
-        perm.setflags(write=False)
-        return perm
+    def elements(self) -> tuple[Permutation, ...]:
+        """The rows of perm as Permutation objects."""
+        return tuple(Permutation(tuple(row)) for row in self.perm.tolist())
 
     @cached_property
     def inverse_perm(self) -> np.ndarray:
@@ -174,17 +176,17 @@ class FiniteGroup:
         return inv
 
 
-def _conjugacy_classes(cayley: np.ndarray, inverse: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _conjugacy_classes(cayley: np.ndarray, inverse: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    # Column x of conj holds g x g^-1 for every g: the class of x.
     order = len(inverse)
-    seen = [False] * order
+    conj = cayley[cayley, inverse[:, None]]
+    seen = np.zeros(order, dtype=bool)
     classes = []
     for x in range(order):
-        if seen[x]:
-            continue
-        orbit = sorted({int(cayley[cayley[g, x], inverse[g]]) for g in range(order)})
-        for y in orbit:
-            seen[y] = True
-        classes.append(tuple(orbit))
+        if not seen[x]:
+            orbit = np.flatnonzero(np.bincount(conj[:, x], minlength=order))
+            seen[orbit] = True
+            classes.append(tuple(orbit.tolist()))
     return tuple(classes)
 
 
@@ -225,32 +227,35 @@ def _cayley_by_lookup(perm: np.ndarray) -> np.ndarray:
     return table
 
 
-def _assemble(kind: str, n: int, degree: int, descriptor: str,
-              elements: list[Permutation], cayley) -> FiniteGroup:
+def _assemble(kind: str, n: int, degree: int, descriptor: str, perm, cayley) -> FiniteGroup:
+    perm = np.asarray(perm, dtype=np.intp)
     cayley = np.asarray(cayley, dtype=np.int64)
-    order = len(elements)
+    order = len(perm)
     if cayley.shape != (order, order):
         raise ValueError(f"cayley table shape {cayley.shape} does not match order {order}")
-    identity_index = -1
     ref = np.arange(order)
-    for e in range(order):
-        if np.array_equal(cayley[e], ref) and np.array_equal(cayley[:, e], ref):
-            identity_index = e
-            break
-    if identity_index < 0:
+    is_identity = (cayley == ref).all(axis=1) & (cayley == ref[:, None]).all(axis=0)
+    if not is_identity.any():
         raise ValueError("cayley table has no identity element")
-    inverse = []
-    for i in range(order):
-        hits = np.where(cayley[i] == identity_index)[0]
-        if len(hits) != 1 or cayley[hits[0], i] != identity_index:
-            raise ValueError(f"element {i} has no unique two-sided inverse")
-        inverse.append(int(hits[0]))
-    inverse = tuple(inverse)
-    classes = _conjugacy_classes(cayley, inverse)
+    identity_index = int(is_identity.argmax())
+    hits = cayley == identity_index
+    inverse = hits.argmax(axis=1)
+    bad = (hits.sum(axis=1) != 1) | (cayley[inverse, ref] != identity_index)
+    if bad.any():
+        raise ValueError(f"element {int(bad.argmax())} has no unique two-sided inverse")
+    perm.setflags(write=False)
     cayley.setflags(write=False)
-    return FiniteGroup(kind=kind, n=n, degree=degree, descriptor=descriptor,
-                       elements=tuple(elements), cayley=cayley, inverse=inverse,
-                       classes=classes, identity_index=identity_index)
+    return FiniteGroup(kind=kind, n=n, degree=degree, descriptor=descriptor, perm=perm,
+                       cayley=cayley, inverse=tuple(inverse.tolist()),
+                       classes=_conjugacy_classes(cayley, inverse),
+                       identity_index=identity_index)
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    """(a + b) mod n: the table of the cyclic group of order n, and also the
+    mappings of the n shifts of an n-window."""
+    r = np.arange(n)
+    return (r[:, None] + r) % n
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -258,9 +263,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     element is exactly the index reversal."""
     if n < 1:
         raise ValueError(f"cyclic_group: n must be >= 1, got {n}")
-    elements = [shift(n, m) for m in range(n)]
-    cayley = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return _assemble("cyclic", n, n, f"cyclic:{n}", elements, cayley)
+    return _assemble("cyclic", n, n, f"cyclic:{n}", _cyclic_table(n), _cyclic_table(n))
 
 
 def shift_group(k: int, step: int) -> FiniteGroup:
@@ -271,24 +274,23 @@ def shift_group(k: int, step: int) -> FiniteGroup:
     if step < 1 or step > k or k % step != 0:
         raise ValueError(f"shift_group: step must divide the window size, got k={k} step={step}")
     n = k // step
-    elements = [shift(k, m * step) for m in range(n)]
-    cayley = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return _assemble("cyclic", n, k, f"shift:{k}:{step}", elements, cayley)
+    perm = (np.arange(k) + step * np.arange(n)[:, None]) % k
+    return _assemble("cyclic", n, k, f"shift:{k}:{step}", perm, _cyclic_table(n))
 
 
 def trivial_group(k: int) -> FiniteGroup:
     """The one-element group on a k-window."""
     if k < 1:
         raise ValueError(f"trivial_group: window must be >= 1, got {k}")
-    return _assemble("cyclic", 1, k, f"trivial:{k}", [identity(k)], [[0]])
+    return _assemble("cyclic", 1, k, f"trivial:{k}", [np.arange(k)], _cyclic_table(1))
 
 
 def mirror_group(k: int) -> FiniteGroup:
     """Order-2 group on a k-window whose non-identity element reverses it."""
     if k < 2:
         raise ValueError(f"mirror_group: window must be >= 2, got {k}")
-    elements = [identity(k), reversal(k)]
-    return _assemble("cyclic", 2, k, f"mirror:{k}", elements, [[0, 1], [1, 0]])
+    r = np.arange(k)
+    return _assemble("cyclic", 2, k, f"mirror:{k}", [r, r[::-1]], _cyclic_table(2))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -297,25 +299,14 @@ def dihedral_group(n: int) -> FiniteGroup:
     group still has order 2n."""
     if n < 1:
         raise ValueError(f"dihedral_group: n must be >= 1, got {n}")
-    elements = [shift(n, m) for m in range(n)]
-    elements += [Permutation(tuple((m - i) % n for i in range(n))) for m in range(n)]
-    order = 2 * n
-
-    def mult(i: int, j: int) -> int:
-        # Element encoding: index m < n is rotation by m, index n+m reflects
-        # through m. Products follow from composing the index maps.
-        ti, a = (0, i) if i < n else (1, i - n)
-        tj, b = (0, j) if j < n else (1, j - n)
-        if ti == 0 and tj == 0:
-            return (a + b) % n
-        if ti == 0 and tj == 1:
-            return n + (a + b) % n
-        if ti == 1 and tj == 0:
-            return n + (a - b) % n
-        return (a - b) % n
-
-    cayley = [[mult(i, j) for j in range(order)] for i in range(order)]
-    return _assemble("dihedral", n, n, f"dihedral:{n}", elements, cayley)
+    r = np.arange(n)
+    perm = np.concatenate([_cyclic_table(n), (r[:, None] - r) % n])
+    # Index s*n + m is the rotation by m (s = 0) or the reflection through m
+    # (s = 1). Composing the index maps, (s_i, m_i)(s_j, m_j) is
+    # (s_i xor s_j, m_i + (-1)^s_i m_j mod n).
+    s, m = np.divmod(np.arange(2 * n), n)
+    cayley = n * (s[:, None] ^ s) + (m[:, None] + (1 - 2 * s[:, None]) * m) % n
+    return _assemble("dihedral", n, n, f"dihedral:{n}", perm, cayley)
 
 
 def symmetric_group(k: int) -> FiniteGroup:
@@ -325,13 +316,11 @@ def symmetric_group(k: int) -> FiniteGroup:
         raise ValueError(f"symmetric_group: k must be >= 1, got {k}")
     if k > _MAX_SYMMETRIC:
         raise ValueError(f"symmetric_group: k = {k} is unsupported, the cap is {_MAX_SYMMETRIC}")
-    mappings = list(itertools.permutations(range(k)))
-    elements = [Permutation(m) for m in mappings]
-    cayley = _cayley_by_lookup(np.array(mappings, dtype=np.intp))
-    return _assemble("symmetric", k, k, f"symmetric:{k}", elements, cayley)
+    perm = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    return _assemble("symmetric", k, k, f"symmetric:{k}", perm, _cayley_by_lookup(perm))
 
 
-def from_permutations(perms, descriptor: str = "custom") -> FiniteGroup:
+def from_permutations(perms) -> FiniteGroup:
     """Build a custom group from an explicit list of distinct permutations.
 
     The list must be closed under composition; the table is found by lookup,
@@ -350,10 +339,11 @@ def from_permutations(perms, descriptor: str = "custom") -> FiniteGroup:
         if p.mapping in seen:
             raise ValueError(f"from_permutations: duplicate element {p.mapping!r}")
         seen.add(p.mapping)
-    cayley = _cayley_by_lookup(np.array([p.mapping for p in elements], dtype=np.intp))
+    perm = np.array([p.mapping for p in elements], dtype=np.intp)
+    cayley = _cayley_by_lookup(perm)
     if (cayley < 0).any():
         raise ValueError("from_permutations: element list is not closed under composition")
-    return _assemble("custom", 0, degree, descriptor, elements, cayley)
+    return _assemble("custom", 0, degree, "custom", perm, cayley)
 
 
 def from_descriptor(desc: str) -> FiniteGroup:
@@ -411,7 +401,7 @@ def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
 
 def _group_lines(g: FiniteGroup) -> list[str]:
     return [f"group {g.descriptor}", f"kind {g.kind}", f"n {g.n}", f"degree {g.degree}",
-            f"order {g.order}"] + ["elem " + " ".join(map(str, p.mapping)) for p in g.elements]
+            f"order {g.order}"] + ["elem " + " ".join(map(str, row)) for row in g.perm.tolist()]
 
 
 def save_group(g: FiniteGroup, path: str) -> None:

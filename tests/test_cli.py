@@ -225,6 +225,23 @@ def test_train_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("--epochs=0", "--epochs must be >= 1, got 0"),
+    ("--epochs=-2", "--epochs must be >= 1, got -2"),
+    ("--batch-size=0", "--batch-size must be >= 1, got 0"),
+    ("--batch-size=-1", "--batch-size must be >= 1, got -1"),
+    ("--lr=-1", "--lr must be finite and >= 0, got -1.0"),
+    ("--lr=nan", "--lr must be finite and >= 0, got nan"),
+    ("--lr=inf", "--lr must be finite and >= 0, got inf"),
+    ("--lr=-inf", "--lr must be finite and >= 0, got -inf"),
+])
+def test_train_rejects_bad_settings_as_usage_errors(setting, message, tmp_path, capsys):
+    out = tmp_path / "m.jsonl"
+    code, text, err = run(capsys, "train", "--n", "40", "--k", "4", setting, "--out", str(out))
+    assert (code, text, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isoattn.groups as groups_module
 from isoattn.groups import (
@@ -431,7 +433,7 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_save_load_custom_group(tmp_path):
     perms = [Permutation(p) for p in itertools.permutations(range(3))]
-    g = from_permutations(perms, descriptor="custom")
+    g = from_permutations(perms)
     path = tmp_path / "custom.grp"
     save_group(g, str(path))
     back = load_group(str(path))
@@ -465,3 +467,180 @@ def test_cycle_type():
     assert identity(4).cycle_type() == (1, 1, 1, 1)
     assert reversal(2).cycle_type() == (2,)
     assert Permutation((1, 2, 0, 3)).cycle_type() == (3, 1)
+
+
+# Reference: the per-element builders the array builders replaced. Each
+# family lists Permutation objects and a Python-list table; ref_assemble finds
+# the identity, inverses and classes with per-element loops.
+
+def ref_conjugacy_classes(cayley, inverse):
+    order = len(inverse)
+    seen = [False] * order
+    classes = []
+    for x in range(order):
+        if seen[x]:
+            continue
+        orbit = sorted({int(cayley[cayley[g, x], inverse[g]]) for g in range(order)})
+        for y in orbit:
+            seen[y] = True
+        classes.append(tuple(orbit))
+    return tuple(classes)
+
+
+def ref_assemble(kind, n, degree, descriptor, elements, cayley):
+    cayley = np.asarray(cayley, dtype=np.int64)
+    order = len(elements)
+    ref = np.arange(order)
+    identity_index = -1
+    for e in range(order):
+        if np.array_equal(cayley[e], ref) and np.array_equal(cayley[:, e], ref):
+            identity_index = e
+            break
+    assert identity_index >= 0
+    inverse = []
+    for i in range(order):
+        hits = np.where(cayley[i] == identity_index)[0]
+        assert len(hits) == 1 and cayley[hits[0], i] == identity_index
+        inverse.append(int(hits[0]))
+    inverse = tuple(inverse)
+    perm = np.array([p.mapping for p in elements], dtype=np.intp)
+    return dict(kind=kind, n=n, degree=degree, descriptor=descriptor, perm=perm, cayley=cayley,
+                inverse=inverse, classes=ref_conjugacy_classes(cayley, inverse),
+                identity_index=identity_index, mappings=[p.mapping for p in elements],
+                inverse_perm=perm[list(inverse)])
+
+
+def ref_cyclic(n):
+    elements = [shift(n, m) for m in range(n)]
+    cayley = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return ref_assemble("cyclic", n, n, f"cyclic:{n}", elements, cayley)
+
+
+def ref_shift(k, step):
+    n = k // step
+    elements = [shift(k, m * step) for m in range(n)]
+    cayley = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return ref_assemble("cyclic", n, k, f"shift:{k}:{step}", elements, cayley)
+
+
+def ref_trivial(k):
+    return ref_assemble("cyclic", 1, k, f"trivial:{k}", [identity(k)], [[0]])
+
+
+def ref_mirror(k):
+    return ref_assemble("cyclic", 2, k, f"mirror:{k}", [identity(k), reversal(k)],
+                        [[0, 1], [1, 0]])
+
+
+def ref_dihedral(n):
+    elements = [shift(n, m) for m in range(n)]
+    elements += [Permutation(tuple((m - i) % n for i in range(n))) for m in range(n)]
+
+    def mult(i, j):
+        # Index m < n is rotation by m, index n+m reflects through m.
+        ti, a = (0, i) if i < n else (1, i - n)
+        tj, b = (0, j) if j < n else (1, j - n)
+        if ti == 0 and tj == 0:
+            return (a + b) % n
+        if ti == 0 and tj == 1:
+            return n + (a + b) % n
+        if ti == 1 and tj == 0:
+            return n + (a - b) % n
+        return (a - b) % n
+
+    cayley = [[mult(i, j) for j in range(2 * n)] for i in range(2 * n)]
+    return ref_assemble("dihedral", n, n, f"dihedral:{n}", elements, cayley)
+
+
+def ref_lookup(kind, n, descriptor, elements):
+    # Faithful groups: entry (i, j) is the index of the composed mapping.
+    index = {p.mapping: i for i, p in enumerate(elements)}
+    cayley = [[index[p.compose(q).mapping] for q in elements] for p in elements]
+    return ref_assemble(kind, n, elements[0].degree, descriptor, elements, cayley)
+
+
+def ref_symmetric(k):
+    elements = [Permutation(m) for m in itertools.permutations(range(k))]
+    return ref_lookup("symmetric", k, f"symmetric:{k}", elements)
+
+
+def ref_custom(perms):
+    elements = [p if isinstance(p, Permutation) else Permutation(tuple(map(int, p))) for p in perms]
+    return ref_lookup("custom", 0, "custom", elements)
+
+
+def assert_matches_reference(g, ref):
+    for field in ("kind", "n", "degree", "descriptor", "inverse", "classes", "identity_index"):
+        assert getattr(g, field) == ref[field], field
+    for field in ("perm", "cayley", "inverse_perm"):
+        ours = getattr(g, field)
+        assert ours.dtype == ref[field].dtype and ours.shape == ref[field].shape, field
+        assert ours.tobytes() == ref[field].tobytes(), field
+    assert [p.mapping for p in g.elements] == ref["mappings"]
+
+
+SIZES = list(range(1, 25)) + [48, 61, 120]
+CUSTOM = ([KLEIN4, S3, S3[::-1], [Permutation(p) for p in S3]]
+          + [[p.mapping for p in cyclic_group(n).elements[::-1]] for n in (16, 32, 48, 120)]
+          + [[fixing_tail(m, n) for m in itertools.permutations(range(4))]
+             for n in (16, 32, 48, 120)]
+          + [block_shifts(120, 12), block_shifts(240, 24)])
+FAMILIES = {
+    "cyclic": [(cyclic_group, ref_cyclic, (n,)) for n in SIZES],
+    "dihedral": [(dihedral_group, ref_dihedral, (n,)) for n in SIZES],
+    "symmetric": [(symmetric_group, ref_symmetric, (k,)) for k in range(1, 6)],
+    "mirror": [(mirror_group, ref_mirror, (k,)) for k in range(2, 121)],
+    "shift": [(shift_group, ref_shift, (k, s)) for k in range(1, 25) for s in range(1, k + 1)
+              if k % s == 0],
+    "trivial": [(trivial_group, ref_trivial, (k,)) for k in range(1, 121)],
+    "custom": [(from_permutations, ref_custom, (perms,)) for perms in CUSTOM],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_array_builders_match_the_per_element_reference(family):
+    for build, ref, args in FAMILIES[family]:
+        assert_matches_reference(build(*args), ref(*args))
+
+
+def closure(gens, degree):
+    # Breadth-first search over products with the generators.
+    start = tuple(range(degree))
+    found, queue = [start], [start]
+    seen = {start}
+    while queue:
+        p = queue.pop(0)
+        for q in gens:
+            r = tuple(p[j] for j in q)
+            if r not in seen:
+                seen.add(r)
+                found.append(r)
+                queue.append(r)
+    return found
+
+
+@st.composite
+def random_subgroups(draw):
+    degree = draw(st.integers(2, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return closure([tuple(p) for p in gens], degree)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perms=random_subgroups())
+def test_random_closed_subgroups_are_groups(perms):
+    g = from_permutations(perms)
+    n, table, e = g.order, g.cayley, g.identity_index
+    assert n == len(perms)
+    assert np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n))
+    inv = np.array(g.inverse)
+    assert (table[np.arange(n), inv] == e).all() and (table[inv, np.arange(n)] == e).all()
+    assert np.array_equal(table[table], table[:, table])  # (ab)c = a(bc)
+    undone = np.take_along_axis(g.perm[inv], g.perm, axis=1)
+    assert np.array_equal(undone, np.broadcast_to(np.arange(g.degree), g.perm.shape))
+    assert verify_homomorphism(g).ok
+    # Brute-force conjugation on the mappings: the class of x is {p x p^-1}.
+    index = {tuple(row): i for i, row in enumerate(g.perm.tolist())}
+    brute = {frozenset(index[p.compose(x).compose(p.inverse()).mapping] for p in g.elements)
+             for x in g.elements}
+    assert {frozenset(c) for c in g.classes} == brute
