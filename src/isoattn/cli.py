@@ -30,6 +30,8 @@ from .numerics import Rng, rand_matrix
 
 CHECK_TOL = 1e-10
 EXPORT_TOL = 1e-12
+# The largest window --k builds: the cap group descriptor parameters have.
+MAX_K = groups._MAX_ORDER
 
 
 class UsageError(Exception):
@@ -38,6 +40,11 @@ class UsageError(Exception):
 
 def _log(msg: str) -> None:
     print(msg, flush=True)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= 2**64 - 1:
+        raise UsageError(f"--seed must be in [0, 2**64 - 1], got {seed}")
 
 
 def _parse_group(descriptor: str) -> groups.FiniteGroup:
@@ -82,6 +89,7 @@ def cmd_projectors(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _check_seed(args.seed)
     g = _parse_group(args.group)
     if args.dim < 1:
         raise UsageError(f"--dim must be >= 1, got {args.dim}")
@@ -113,6 +121,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_demo_dna(args) -> int:
+    _check_seed(args.seed)
     seq = args.sequence.upper()
     for ch in seq:
         if ch not in "ACGT":
@@ -190,8 +199,11 @@ def _dataset_spec(args) -> synth.DatasetSpec:
         raise UsageError(f"--n must be >= 5, got {args.n}")
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
+    if args.k > MAX_K:
+        raise UsageError(f"--k must be <= {MAX_K}, got {args.k}")
     if not 0.0 <= args.noise <= 1.0:
         raise UsageError(f"--noise must be in [0, 1], got {args.noise}")
+    _check_seed(args.seed)
     return synth.DatasetSpec(task=args.task, n=args.n, k=args.k, noise_p=args.noise,
                              seed=args.seed, alphabet_size=4)
 

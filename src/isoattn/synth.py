@@ -49,6 +49,14 @@ class SequenceWindow:
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
 
+    @classmethod
+    def _encoded(cls, symbols, alphabet_size, label, meta, features) -> "SequenceWindow":
+        """Window around read-only features already encoded from its symbols."""
+        window = object.__new__(cls)
+        window.__dict__.update(symbols=symbols, alphabet_size=alphabet_size, label=label,
+                               meta=meta, features=features)
+        return window
+
 
 def symbols_to_text(symbols, alphabet_size: int) -> str:
     if alphabet_size == 4:
@@ -74,17 +82,101 @@ def _check_geometry(k: int, alphabet_size: int) -> None:
         raise ValueError(f"alphabet_size must be in [2, {MAX_ALPHABET}], got {alphabet_size}")
 
 
+def _check_nonpalindrome(k: int, who: str) -> None:
+    if k < 2:
+        raise ValueError(f"{who}: impossible for windows shorter than 2")
+
+
+def _check_period(k: int, period: int, who: str) -> None:
+    if period < 1 or period > k or k % period != 0:
+        raise ValueError(f"{who}: period must divide the window size, got k={k} period={period}")
+
+
+def _check_noncyclic(k: int, period: int, who: str) -> None:
+    _check_period(k, period, who)
+    if period == k:
+        raise ValueError(f"{who}: period equal to the window size excludes nothing")
+
+
+# ---------- draw rules ----------
+#
+# Each rule draws n windows as the rows of an (n, k) symbol array, and the
+# one-window generators below are its n = 1 case. One call for an (n, h)
+# block of small integers gives the same values, and leaves the stream in the
+# same place, as n calls of size h: numpy draws one 32-bit word per value and
+# the bit generator keeps a spare half-word across calls.
+
+def _palindromes(n: int, k: int, alphabet_size: int, rng: Rng) -> np.ndarray:
+    half = rng.integers(alphabet_size, size=(n, (k + 1) // 2))
+    return np.concatenate([half, half[:, :k // 2][:, ::-1]], axis=1)
+
+
+def _cyclics(n: int, k: int, period: int, alphabet_size: int, rng: Rng) -> np.ndarray:
+    return np.tile(rng.integers(alphabet_size, size=(n, period)), (1, k // period))
+
+
+def _rejecting(n: int, k: int, alphabet_size: int, rng: Rng, keep) -> np.ndarray:
+    """n uniform windows for which keep(rows) holds, drawn in blocks.
+
+    Each block is as many rows as are still missing. Drawing and testing one
+    window at a time would draw at least that many more rows, so the kept
+    rows and the stream position after the last one are the same. The
+    caller makes sure keep accepts some window, or this never ends.
+    """
+    blocks = []
+    while n:
+        rows = rng.integers(alphabet_size, size=(n, k))
+        rows = rows[keep(rows)]
+        blocks.append(rows)
+        n -= len(rows)
+    return np.concatenate(blocks)
+
+
+def _nonpalindromes(n: int, k: int, alphabet_size: int, rng: Rng) -> np.ndarray:
+    return _rejecting(n, k, alphabet_size, rng,
+                      lambda rows: (rows != rows[:, ::-1]).any(axis=1))
+
+
+def _noncyclics(n: int, k: int, period: int, alphabet_size: int, rng: Rng) -> np.ndarray:
+    wrap = np.arange(k) % period
+    return _rejecting(n, k, alphabet_size, rng,
+                      lambda rows: (rows != rows[:, wrap]).any(axis=1))
+
+
+def _noisy(symbols: np.ndarray, p: float, alphabet_size: int, rng: Rng) -> np.ndarray:
+    """Resample each entry of an (n, k) symbol array with probability p.
+
+    Row by row, one uniform call then one integers call: the two interleave
+    in the stream, so drawing either for all rows at once would change
+    every noisy window.
+    """
+    n, k = symbols.shape
+    u = np.empty((n, k))
+    fresh = np.empty((n, k), dtype=symbols.dtype)
+    for i in range(n):
+        u[i] = rng.uniform(0.0, 1.0, k)
+        fresh[i] = rng.integers(alphabet_size, size=k)
+    return np.where(u < p, fresh, symbols)
+
+
+def _windows(symbols: np.ndarray, alphabet_size: int, labels, metas) -> list[SequenceWindow]:
+    """One SequenceWindow per row of an (n, k) symbol array.
+
+    The rows are one-hot encoded in one array operation, giving the same
+    bytes encode_onehot gives each row; every window holds a read-only view
+    of its (k, alphabet_size) slice.
+    """
+    features = np.eye(alphabet_size)[symbols]
+    features.setflags(write=False)
+    return [SequenceWindow._encoded(tuple(row), alphabet_size, label, meta, feats)
+            for row, label, meta, feats in zip(symbols.tolist(), labels, metas, features)]
+
+
 def gen_palindrome(k: int, alphabet_size: int, rng: Rng) -> SequenceWindow:
     """Uniform mirror palindrome: the free half determines the mirrored half."""
     _check_geometry(k, alphabet_size)
-    half = rng.integers(alphabet_size, size=(k + 1) // 2)
-    symbols = list(half) + [half[k - 1 - i] for i in range((k + 1) // 2, k)]
-    return SequenceWindow(tuple(int(s) for s in symbols), alphabet_size, 1, "palindrome")
-
-
-def _is_palindrome(symbols) -> bool:
-    k = len(symbols)
-    return all(symbols[i] == symbols[k - 1 - i] for i in range(k // 2))
+    rows = _palindromes(1, k, alphabet_size, rng)
+    return _windows(rows, alphabet_size, [1], ["palindrome"])[0]
 
 
 def gen_nonpalindrome(k: int, alphabet_size: int, rng: Rng) -> SequenceWindow:
@@ -94,51 +186,35 @@ def gen_nonpalindrome(k: int, alphabet_size: int, rng: Rng) -> SequenceWindow:
     4^3/4^6 = 1/64 per draw, so this terminates fast.
     """
     _check_geometry(k, alphabet_size)
-    if k < 2:
-        raise ValueError("gen_nonpalindrome: impossible for windows shorter than 2")
-    while True:
-        symbols = tuple(int(s) for s in rng.integers(alphabet_size, size=k))
-        if not _is_palindrome(symbols):
-            return SequenceWindow(symbols, alphabet_size, 0, "nonpalindrome")
+    _check_nonpalindrome(k, "gen_nonpalindrome")
+    rows = _nonpalindromes(1, k, alphabet_size, rng)
+    return _windows(rows, alphabet_size, [0], ["nonpalindrome"])[0]
 
 
 def gen_cyclic(k: int, period: int, alphabet_size: int, rng: Rng) -> SequenceWindow:
     """Window repeating a random block of the given period; period | k."""
     _check_geometry(k, alphabet_size)
-    if period < 1 or period > k or k % period != 0:
-        raise ValueError(f"gen_cyclic: period must divide the window size, got k={k} period={period}")
-    base = [int(s) for s in rng.integers(alphabet_size, size=period)]
-    symbols = tuple(base[i % period] for i in range(k))
-    return SequenceWindow(symbols, alphabet_size, 1, f"cyclic:{period}")
-
-
-def _is_periodic(symbols, period: int) -> bool:
-    return all(symbols[i] == symbols[i % period] for i in range(len(symbols)))
+    _check_period(k, period, "gen_cyclic")
+    rows = _cyclics(1, k, period, alphabet_size, rng)
+    return _windows(rows, alphabet_size, [1], [f"cyclic:{period}"])[0]
 
 
 def gen_noncyclic(k: int, period: int, alphabet_size: int, rng: Rng) -> SequenceWindow:
     """Uniform window conditioned on breaking the given period somewhere."""
     _check_geometry(k, alphabet_size)
-    if period < 1 or period > k or k % period != 0:
-        raise ValueError(f"gen_noncyclic: period must divide the window size, got k={k} period={period}")
-    if period == k:
-        raise ValueError("gen_noncyclic: period equal to the window size excludes nothing")
-    while True:
-        symbols = tuple(int(s) for s in rng.integers(alphabet_size, size=k))
-        if not _is_periodic(symbols, period):
-            return SequenceWindow(symbols, alphabet_size, 0, f"noncyclic:{period}")
+    _check_noncyclic(k, period, "gen_noncyclic")
+    rows = _noncyclics(1, k, period, alphabet_size, rng)
+    return _windows(rows, alphabet_size, [0], [f"noncyclic:{period}"])[0]
 
 
 def perturb(window: SequenceWindow, p: float, rng: Rng) -> SequenceWindow:
     """Resample each position independently with probability p, keeping the label."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"perturb: probability must be in [0, 1], got {p}")
-    k = len(window.symbols)
-    hits = rng.uniform(0.0, 1.0, k) < p
-    fresh = rng.integers(window.alphabet_size, size=k)
-    symbols = tuple(int(fresh[i]) if hits[i] else window.symbols[i] for i in range(k))
+    rows = np.array(window.symbols, dtype=np.int64).reshape(1, -1)
     meta = window.meta if p == 0.0 else f"{window.meta}+noise"
-    return SequenceWindow(symbols, window.alphabet_size, window.label, meta)
+    return _windows(_noisy(rows, p, window.alphabet_size, rng), window.alphabet_size,
+                    [window.label], [meta])[0]
 
 
 def default_period(k: int) -> int:
@@ -172,30 +248,43 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
 
     Positives and negatives are generated in equal number (n odd gets the
     extra positive), each perturbed at noise_p, then shuffled and split.
+    The spec is checked in full before anything is drawn. The order of the
+    draws defines what each seed gives: all positives; then the
+    rejection-sampled negatives; then, if noise_p > 0, for each window in
+    turn a uniform draw per position followed by fresh symbols; then the
+    shuffle. Drawing in blocks gives the same windows as the one-window
+    generators and perturb called window by window in that order.
     """
     if spec.task not in ("palindrome", "cyclic"):
         raise ValueError(f"make_dataset: unknown task {spec.task!r}")
     if spec.n < 2:
         raise ValueError(f"make_dataset: need n >= 2 for a non-empty split, got {spec.n}")
     _check_geometry(spec.k, spec.alphabet_size)
-    rng = Rng(spec.seed).derive(7)
-    n_pos = (spec.n + 1) // 2
-    windows: list[SequenceWindow] = []
+    if not 0.0 <= spec.noise_p <= 1.0:
+        raise ValueError(f"make_dataset: noise_p must be in [0, 1], got {spec.noise_p}")
+    k, a = spec.k, spec.alphabet_size
     if spec.task == "palindrome":
-        for _ in range(n_pos):
-            windows.append(gen_palindrome(spec.k, spec.alphabet_size, rng))
-        for _ in range(spec.n - n_pos):
-            windows.append(gen_nonpalindrome(spec.k, spec.alphabet_size, rng))
+        _check_nonpalindrome(k, "make_dataset")
     else:
-        period = spec.period or default_period(spec.k)
-        for _ in range(n_pos):
-            windows.append(gen_cyclic(spec.k, period, spec.alphabet_size, rng))
-        for _ in range(spec.n - n_pos):
-            windows.append(gen_noncyclic(spec.k, period, spec.alphabet_size, rng))
+        period = spec.period or default_period(k)
+        _check_noncyclic(k, period, "make_dataset")
+    n_pos = (spec.n + 1) // 2
+    n_neg = spec.n - n_pos
+    rng = Rng(spec.seed).derive(7)
+    if spec.task == "palindrome":
+        metas = ["palindrome"] * n_pos + ["nonpalindrome"] * n_neg
+        rows = np.concatenate([_palindromes(n_pos, k, a, rng),
+                               _nonpalindromes(n_neg, k, a, rng)])
+    else:
+        metas = [f"cyclic:{period}"] * n_pos + [f"noncyclic:{period}"] * n_neg
+        rows = np.concatenate([_cyclics(n_pos, k, period, a, rng),
+                               _noncyclics(n_neg, k, period, a, rng)])
     if spec.noise_p > 0.0:
-        windows = [perturb(w, spec.noise_p, rng) for w in windows]
-    order = rng.permutation(len(windows))
-    shuffled = [windows[i] for i in order]
+        rows = _noisy(rows, spec.noise_p, a, rng)
+        metas = [f"{meta}+noise" for meta in metas]
+    labels = [1] * n_pos + [0] * n_neg
+    order = rng.permutation(spec.n)
+    shuffled = _windows(rows[order], a, [labels[i] for i in order], [metas[i] for i in order])
     cut = min(int(round(0.8 * len(shuffled))), len(shuffled) - 1)
     return Dataset(spec=spec, train=tuple(shuffled[:cut]), val=tuple(shuffled[cut:]))
 

@@ -242,6 +242,29 @@ def test_train_rejects_bad_settings_as_usage_errors(setting, message, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", [
+    ["dataset", "--out", "OUT"],
+    ["train", "--n", "40", "--k", "4", "--out", "OUT"],
+    ["check", "--group", "cyclic:2"],
+    ["demo-dna", "AG", "--out", "OUT"],
+])
+def test_seed_outside_uint64_is_a_usage_error(command, seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in command] + ["--seed", str(seed)]
+    code, text, err = run(capsys, *argv)
+    assert (code, text, err) == (2, "", f"error: --seed must be in [0, 2**64 - 1], got {seed}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["dataset"], ["train", "--n", "40"]])
+def test_window_size_above_the_cap_is_a_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, text, err = run(capsys, *command, "--k", "121", "--out", str(out))
+    assert (code, text, err) == (2, "", "error: --k must be <= 120, got 121\n")
+    assert not out.exists()
+
+
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isoattn import synth
 from isoattn.groups import permutation_matrix, reversal, shift
 from isoattn.numerics import Rng
 from isoattn.synth import (
@@ -179,6 +180,35 @@ def test_make_dataset_validation():
         make_dataset(DatasetSpec(task="palindrome", n=1, k=6, seed=0))
 
 
+def _no_draws(monkeypatch):
+    """Make any random draw inside synth fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_dataset drew before rejecting its spec")
+    monkeypatch.setattr(synth, "Rng", refuse)
+
+
+@pytest.mark.parametrize("noise_p", [-0.5, float("nan"), float("inf"), 1.5])
+def test_make_dataset_rejects_noise_outside_unit_interval(noise_p, monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="noise_p must be in"):
+        make_dataset(DatasetSpec(task="palindrome", n=40, k=6, noise_p=noise_p, seed=0))
+
+
+@pytest.mark.parametrize("task, k, period, message", [
+    ("palindrome", 1, 0, "shorter than 2"),
+    ("cyclic", 6, -1, "period must divide"),
+    ("cyclic", 6, 4, "period must divide"),
+    ("cyclic", 6, 7, "period must divide"),
+    ("cyclic", 6, 6, "excludes nothing"),
+    ("cyclic", 1, 0, "excludes nothing"),
+])
+def test_make_dataset_rejects_impossible_task_before_drawing(task, k, period, message,
+                                                             monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        make_dataset(DatasetSpec(task=task, n=40, k=k, seed=0, period=period))
+
+
 def test_make_dataset_small_n_keeps_validation_nonempty():
     ds = make_dataset(DatasetSpec(task="palindrome", n=2, k=4, seed=17))
     assert len(ds.train) == 1
@@ -212,3 +242,157 @@ def test_load_rejects_alphabet_out_of_range(tmp_path, alphabet_size):
                     encoding="utf-8")
     with pytest.raises(ValueError, match=f"'AAAA 1 {alphabet_size} palindrome'"):
         load_windows(str(path))
+
+
+# ---------- bulk generation against the per-window reference ----------
+#
+# The reference below is the per-window make_dataset that bulk generation
+# replaced: one generator call and one SequenceWindow per window, perturb
+# per window, then the shuffle and the split. Bulk generation must give the
+# same windows, bit for bit, for every seed.
+
+def _ref_gen_palindrome(k, alphabet_size, rng):
+    half = rng.integers(alphabet_size, size=(k + 1) // 2)
+    symbols = list(half) + [half[k - 1 - i] for i in range((k + 1) // 2, k)]
+    return SequenceWindow(tuple(int(s) for s in symbols), alphabet_size, 1, "palindrome")
+
+
+def _ref_gen_nonpalindrome(k, alphabet_size, rng):
+    if k < 2:
+        raise ValueError("impossible for windows shorter than 2")
+    while True:
+        symbols = tuple(int(s) for s in rng.integers(alphabet_size, size=k))
+        if not all(symbols[i] == symbols[k - 1 - i] for i in range(k // 2)):
+            return SequenceWindow(symbols, alphabet_size, 0, "nonpalindrome")
+
+
+def _ref_gen_cyclic(k, period, alphabet_size, rng):
+    if period < 1 or period > k or k % period != 0:
+        raise ValueError("period must divide the window size")
+    base = [int(s) for s in rng.integers(alphabet_size, size=period)]
+    symbols = tuple(base[i % period] for i in range(k))
+    return SequenceWindow(symbols, alphabet_size, 1, f"cyclic:{period}")
+
+
+def _ref_gen_noncyclic(k, period, alphabet_size, rng):
+    if period < 1 or period > k or k % period != 0:
+        raise ValueError("period must divide the window size")
+    if period == k:
+        raise ValueError("period equal to the window size excludes nothing")
+    while True:
+        symbols = tuple(int(s) for s in rng.integers(alphabet_size, size=k))
+        if not all(symbols[i] == symbols[i % period] for i in range(k)):
+            return SequenceWindow(symbols, alphabet_size, 0, f"noncyclic:{period}")
+
+
+def _ref_perturb(window, p, rng):
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probability must be in [0, 1]")
+    k = len(window.symbols)
+    hits = rng.uniform(0.0, 1.0, k) < p
+    fresh = rng.integers(window.alphabet_size, size=k)
+    symbols = tuple(int(fresh[i]) if hits[i] else window.symbols[i] for i in range(k))
+    meta = window.meta if p == 0.0 else f"{window.meta}+noise"
+    return SequenceWindow(symbols, window.alphabet_size, window.label, meta)
+
+
+def _ref_make_dataset(spec):
+    if spec.task not in ("palindrome", "cyclic"):
+        raise ValueError("unknown task")
+    if spec.n < 2:
+        raise ValueError("need n >= 2")
+    if spec.k < 1 or not 2 <= spec.alphabet_size <= 26:
+        raise ValueError("bad geometry")
+    rng = Rng(spec.seed).derive(7)
+    n_pos = (spec.n + 1) // 2
+    windows = []
+    if spec.task == "palindrome":
+        for _ in range(n_pos):
+            windows.append(_ref_gen_palindrome(spec.k, spec.alphabet_size, rng))
+        for _ in range(spec.n - n_pos):
+            windows.append(_ref_gen_nonpalindrome(spec.k, spec.alphabet_size, rng))
+    else:
+        period = spec.period or default_period(spec.k)
+        for _ in range(n_pos):
+            windows.append(_ref_gen_cyclic(spec.k, period, spec.alphabet_size, rng))
+        for _ in range(spec.n - n_pos):
+            windows.append(_ref_gen_noncyclic(spec.k, period, spec.alphabet_size, rng))
+    if spec.noise_p > 0.0:
+        windows = [_ref_perturb(w, spec.noise_p, rng) for w in windows]
+    order = rng.permutation(len(windows))
+    shuffled = [windows[i] for i in order]
+    cut = min(int(round(0.8 * len(shuffled))), len(shuffled) - 1)
+    return shuffled[:cut], shuffled[cut:]
+
+
+def _assert_same_windows(got, want, context):
+    assert len(got) == len(want), context
+    assert [(w.symbols, w.label, w.meta, w.alphabet_size) for w in got] == \
+           [(w.symbols, w.label, w.meta, w.alphabet_size) for w in want], context
+    assert b"".join(w.features.tobytes() for w in got) == \
+           b"".join(w.features.tobytes() for w in want), context
+    assert all(w.features.shape == v.features.shape and w.features.strides == v.features.strides
+               and w.features.dtype == v.features.dtype and not w.features.flags.writeable
+               for w, v in zip(got, want)), context
+
+
+def _sweep_specs(task, alphabet_size, sizes=(2, 5, 11, 64)):
+    """Every k, period (default, valid and not), noise level and seed at each
+    size in sizes; then n = 2500 at k = 6 for each noise level."""
+    for k in (2, 3, 4, 5, 6, 7, 8, 9, 12):
+        periods = (0,) if task == "palindrome" else (0, -1) + tuple(range(1, k + 1))
+        for period in periods:
+            for noise_p in (0.0, 0.1, 1.0):
+                for n in sizes:
+                    for seed in (0, 1, 2**64 - 1):
+                        yield DatasetSpec(task=task, n=n, k=k, noise_p=noise_p, seed=seed,
+                                          alphabet_size=alphabet_size, period=period)
+    for noise_p in (0.0, 0.1, 1.0):
+        yield DatasetSpec(task=task, n=2500, k=6, noise_p=noise_p, seed=3,
+                          alphabet_size=alphabet_size)
+
+
+@pytest.mark.parametrize("task", ["palindrome", "cyclic"])
+@pytest.mark.parametrize("alphabet_size", [2, 3, 4, 26])
+def test_make_dataset_matches_per_window_reference(task, alphabet_size):
+    checked = rejected = 0
+    for spec in _sweep_specs(task, alphabet_size):
+        try:
+            want = _ref_make_dataset(spec)
+        except ValueError:
+            with pytest.raises(ValueError):
+                make_dataset(spec)
+            rejected += 1
+            continue
+        got = make_dataset(spec)
+        _assert_same_windows(got.train, want[0], spec)
+        _assert_same_windows(got.val, want[1], spec)
+        checked += 1
+    assert checked > 0 and (task == "palindrome" or rejected > 0)
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3, 4, 26])
+@pytest.mark.parametrize("seed", [0, 21])
+def test_per_window_generators_match_reference(alphabet_size, seed):
+    a = alphabet_size
+    cases = [
+        (lambda r: gen_palindrome(1, a, r), lambda r: _ref_gen_palindrome(1, a, r)),
+        (lambda r: gen_palindrome(7, a, r), lambda r: _ref_gen_palindrome(7, a, r)),
+        (lambda r: gen_nonpalindrome(2, a, r), lambda r: _ref_gen_nonpalindrome(2, a, r)),
+        (lambda r: gen_nonpalindrome(6, a, r), lambda r: _ref_gen_nonpalindrome(6, a, r)),
+        (lambda r: gen_cyclic(9, 3, a, r), lambda r: _ref_gen_cyclic(9, 3, a, r)),
+        (lambda r: gen_cyclic(4, 4, a, r), lambda r: _ref_gen_cyclic(4, 4, a, r)),
+        (lambda r: gen_noncyclic(4, 2, a, r), lambda r: _ref_gen_noncyclic(4, 2, a, r)),
+        (lambda r: gen_noncyclic(9, 1, a, r), lambda r: _ref_gen_noncyclic(9, 1, a, r)),
+    ]
+    for p in (0.0, 0.1, 0.5, 1.0):
+        cases.append((lambda r, p=p: perturb(gen_palindrome(5, a, r), p, r),
+                      lambda r, p=p: _ref_perturb(_ref_gen_palindrome(5, a, r), p, r)))
+    for i, (new, ref) in enumerate(cases):
+        rng_new, rng_ref = Rng(seed).derive(i), Rng(seed).derive(i)
+        got = [new(rng_new) for _ in range(25)]
+        want = [ref(rng_ref) for _ in range(25)]
+        _assert_same_windows(got, want, i)
+        # The stream continues from the same place, spare half-word included.
+        assert rng_new.integers(a, size=3).tolist() == rng_ref.integers(a, size=3).tolist()
+        assert rng_new.uniform(0.0, 1.0, 2).tolist() == rng_ref.uniform(0.0, 1.0, 2).tolist()
