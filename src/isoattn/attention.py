@@ -5,20 +5,14 @@ conjugating a matrix by a permutation commutes with the row softmax, this map
 is equivariant under the window action of any permutation group when q, k, v
 all come from the same window.
 
-Two decompositions split it into one channel per isotypic projector P:
+Two decompositions split it into one channel per irrep that occurs in the
+window action, with its isotypic projector P:
 
     post: channel = P @ attention(q, k, v); the channels share the plain
           attention weights and sum exactly to plain attention.
     pre:  channel = softmax_rows((Pq)(Pk)^T / sqrt(d)) @ (Pv); the total is
           defined as the channel sum. Each channel is itself equivariant,
           but the total is not numerically equal to plain attention.
-
-Channels whose irrep does not occur in the window (absent in the projector
-set) are skipped: attention runs only in the present channels, and each
-absent channel is filled in with what its zero projector would give, uniform
-weights 1/k in every entry and an exactly zero output. Adding that zero to
-the channel sum changes no value, so the results are the same as attending
-in every channel.
 
 Every attention in the package runs through one batched kernel: `project`
 splits a stack of windows into channels, `channel_attention` attends in all
@@ -53,7 +47,7 @@ def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 #
 # Shapes: B windows, C channels, n window rows, d features. A stack of
 # windows (B, n, d) is split into channels by a projector stack (C, n, n),
-# such as ProjectorSet.present_stack; a stack of None stands for one unprojected
+# such as ProjectorSet.stack; a stack of None stands for one unprojected
 # channel (plain attention) and skips the projection. Attention then runs in
 # every channel of every window at once.
 
@@ -147,31 +141,21 @@ def decompose_post(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
     _check_window(q, ps)
     att = _channels(q, k, v, None)
     weights = _like(att.weights[:, 0], q)
-    present = dict(zip(ps.present, (ps.present_stack @ att.total[:, None]).swapaxes(0, 1)))
-    channels = tuple(Channel(item.irrep.label,
-                             _like(present[c] if c in present else np.zeros_like(att.total), q),
-                             weights)
-                     for c, item in enumerate(ps.items))
+    outputs = (ps.stack @ att.total[:, None]).swapaxes(0, 1)
+    channels = tuple(Channel(label, _like(out, q), weights)
+                     for label, out in zip(ps.labels, outputs))
     return DecompositionOutput(total=_like(att.total, q), channels=channels)
 
 
 def decompose_pre(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
-    """Run attention inside each isotypic component and sum the results.
-
-    Only the present channels attend. An absent channel's zero projector
-    would give all-zero scores, whose row softmax is 1/k in every entry, and
-    a zero output; the channel gets those values without computing them."""
+    """Run attention inside each isotypic component and sum the results."""
     q, k, v = _check_qkv(q, k, v)
     _check_window(q, ps)
-    att = _channels(q, k, v, ps.present_stack)
-    b, _, n, d = att.outputs.shape
-    present = dict(zip(ps.present, zip(att.outputs.swapaxes(0, 1), att.weights.swapaxes(0, 1))))
-    channels = []
-    for c, item in enumerate(ps.items):
-        out, wts = (present[c] if c in present
-                    else (np.zeros((b, n, d)), np.full((b, n, n), 1.0 / n)))
-        channels.append(Channel(item.irrep.label, _like(out, q), _like(wts, q)))
-    return DecompositionOutput(total=_like(att.total, q), channels=tuple(channels))
+    att = _channels(q, k, v, ps.stack)
+    channels = tuple(Channel(label, _like(out, q), _like(wts, q))
+                     for label, out, wts in zip(ps.labels, att.outputs.swapaxes(0, 1),
+                                                att.weights.swapaxes(0, 1)))
+    return DecompositionOutput(total=_like(att.total, q), channels=channels)
 
 
 # ---------- equivariance of window maps ----------

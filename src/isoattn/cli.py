@@ -30,8 +30,13 @@ from .numerics import Rng, rand_matrix
 
 CHECK_TOL = 1e-10
 EXPORT_TOL = 1e-12
-# The largest window --k builds: the cap group descriptor parameters have.
+# The largest window --k builds (and the longest demo-dna sequence): the cap
+# group descriptor parameters have.
 MAX_K = groups._MAX_ORDER
+# Caps on dataset size and check feature width, which bound the memory a
+# command asks for before it allocates anything.
+MAX_N = 100_000
+MAX_DIM = 1024
 
 
 class UsageError(Exception):
@@ -91,8 +96,8 @@ def cmd_projectors(args) -> int:
 def cmd_check(args) -> int:
     _check_seed(args.seed)
     g = _parse_group(args.group)
-    if args.dim < 1:
-        raise UsageError(f"--dim must be >= 1, got {args.dim}")
+    if not 1 <= args.dim <= MAX_DIM:
+        raise UsageError(f"--dim must be in [1, {MAX_DIM}], got {args.dim}")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     ps = irreps.projector_set(g)
@@ -126,8 +131,8 @@ def cmd_demo_dna(args) -> int:
     for ch in seq:
         if ch not in "ACGT":
             raise UsageError(f"symbol {ch!r} is not a DNA base (expected A, C, G or T)")
-    if len(seq) < 2:
-        raise UsageError("sequence must have at least 2 bases")
+    if not 2 <= len(seq) <= MAX_K:
+        raise UsageError(f"sequence must have 2 to {MAX_K} bases, got {len(seq)}")
     symbols = synth.text_to_symbols(seq, 4)
     window = synth.SequenceWindow(symbols, 4, 1, "demo")
     g = groups.mirror_group(len(seq))
@@ -195,8 +200,8 @@ def cmd_train(args) -> int:
 # ---------- wiring ----------
 
 def _dataset_spec(args) -> synth.DatasetSpec:
-    if args.n < 5:
-        raise UsageError(f"--n must be >= 5, got {args.n}")
+    if not 5 <= args.n <= MAX_N:
+        raise UsageError(f"--n must be in [5, {MAX_N}], got {args.n}")
     if args.k < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
     if args.k > MAX_K:
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("demo-dna", help="per-channel attention maps for a DNA window")
-    p.add_argument("sequence", help="sequence over A/C/G/T, length >= 2")
+    p.add_argument("sequence", help=f"sequence over A/C/G/T, 2 to {MAX_K} bases")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="demo_out", help="directory for weight CSVs")
     p.set_defaults(func=cmd_demo_dna)
@@ -273,6 +278,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -170,10 +170,10 @@ class ProjectorItem:
 class ProjectorSet:
     """All isotypic projectors of a group action on its window.
 
-    `stack` holds every item's projector, absent ones (exactly zero)
-    included. `present` indexes the items whose irrep occurs in the action,
-    and `present_stack` holds only their projectors: attention runs on it,
-    since an absent channel's result is known without computing it.
+    `items` lists every irrep of the group with its multiplicity; an irrep
+    that does not occur in the action is absent and keeps an exactly zero
+    projector. The channels are the irreps that occur: `present` indexes
+    their items and `stack` holds their projectors, in item order.
     """
 
     group: FiniteGroup
@@ -184,25 +184,19 @@ class ProjectorSet:
         return self.group.degree
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """The projectors as one read-only (channels, window, window) array."""
-        stack = np.stack([item.projector for item in self.items])
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
     def present(self) -> tuple[int, ...]:
         """Indices into items of the irreps that occur, in item order."""
         return tuple(c for c, item in enumerate(self.items) if not item.absent)
 
     @cached_property
-    def present_stack(self) -> np.ndarray:
-        """The projectors of the present items as one read-only
-        (len(present), window, window) array; stack itself when every irrep
-        is present."""
-        if len(self.present) == len(self.items):
-            return self.stack
-        stack = self.stack[list(self.present)]
+    def labels(self) -> tuple[str, ...]:
+        """The irrep label of each channel."""
+        return tuple(self.items[c].irrep.label for c in self.present)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The channel projectors as one read-only (channels, window, window) array."""
+        stack = np.stack([self.items[c].projector for c in self.present])
         stack.setflags(write=False)
         return stack
 
@@ -271,12 +265,13 @@ def verify_projector_set(ps: ProjectorSet) -> ProjectorSetReport:
     (and pairs of them, and group elements). Any NaN entry makes the
     affected deviations NaN, so the report is not ok().
 
-    Products run on ProjectorSet.stack, a chunk of at most
-    max(1, _VERIFY_CHUNK // k^2) matrices at a time. Commutation needs no
+    Products run on the projectors of every item, absent ones included, a
+    chunk of at most max(1, _VERIFY_CHUNK // k^2) matrices at a time, so a
+    nonzero projector on an absent item fails. Commutation needs no
     products: P M_h = P[:, h] and M_h P = P[h^-1, :] exactly, for the
     permutation matrix M_h of h.
     """
-    st, k = ps.stack, ps.window
+    st, k = np.stack([item.projector for item in ps.items]), ps.window
     per = max(1, _VERIFY_CHUNK // k ** 2)
     chunks = [st[c:c + per] for c in range(0, len(st), per)]
     left, right = np.triu_indices(len(st), 1)

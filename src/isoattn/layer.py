@@ -5,7 +5,7 @@ Forward pass, for a window x of shape (k, d):
     q = x w_q,  k = x w_k,  v = x w_v
     y = attention output of the selected variant
     pooled = column mean of y over the k window rows
-    e_c = ||P_c y||_F^2 / k, one channel energy per isotypic projector P_c
+    e_c = ||P_c y||_F^2 / k, one energy per channel, with its projector P_c
     logits = pooled w_out + e w_energy
 
 A stack of windows (B, k, d) runs through the same pass at once: the
@@ -92,10 +92,10 @@ class WindowAttentionLayer:
     """Window attention with a linear readout of pooled and invariant features.
 
     The readout sees the column mean of the attention output through w_out
-    (d x n_classes) and one energy ||P_c y||_F^2 / k per projector of the set
-    through w_energy (one row per projector, n_classes columns). w_energy is
-    optional and defaults to zeros, which makes the logits exactly
-    pooled w_out.
+    (d x n_classes) and one energy ||P_c y||_F^2 / k per channel of the
+    projector set through w_energy (one row per channel, n_classes columns).
+    w_energy is optional and defaults to zeros, which makes the logits
+    exactly pooled w_out.
 
     The five weights are views into one flat float64 buffer, params, laid
     out in WEIGHT_NAMES order, so one in-place update of params moves all
@@ -116,7 +116,7 @@ class WindowAttentionLayer:
                 raise ValueError(f"{name} must be {d}x{d}, got {w.shape}")
         if w_out.ndim != 2 or w_out.shape[0] != d:
             raise ValueError(f"w_out must have {d} rows, got shape {w_out.shape}")
-        energy_shape = (len(projectors.items), w_out.shape[1])
+        energy_shape = (len(projectors.stack), w_out.shape[1])
         w_energy = (np.zeros(energy_shape) if w_energy is None
                     else np.array(w_energy, dtype=np.float64))
         if w_energy.shape != energy_shape:
@@ -132,7 +132,7 @@ class WindowAttentionLayer:
         # Row c is P_c / k flattened, so energies = rows @ vec(y y^T): since P_c
         # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2.
         kwin = projectors.window
-        self._energy_rows = projectors.stack.reshape(len(projectors.items), -1) / kwin
+        self._energy_rows = projectors.stack.reshape(len(projectors.stack), -1) / kwin
 
     @classmethod
     def random(cls, projectors: ProjectorSet, feature_dim: int, n_classes: int,
@@ -170,15 +170,13 @@ class WindowAttentionLayer:
     def _project(self, x) -> np.ndarray:
         """The channel stack (B, C, k, d) of one window (k, d) or a stack
         (B, k, d). Projecting x before the weight maps is the same as
-        projecting q, k and v: P_c (x w) = (P_c x) w. The pre variant
-        projects onto the present channels only (ProjectorSet.present_stack):
-        an absent channel adds an exact zero to y and to every gradient."""
+        projecting q, k and v: P_c (x w) = (P_c x) w."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-2:] != (self.window, self.feature_dim) or x.ndim not in (2, 3) \
                 or x.shape[0] < 1:
             raise ValueError(f"forward: expected {self.window}x{self.feature_dim} windows, "
                              f"got shape {x.shape}")
-        return project(self.projectors.present_stack if self.variant == "pre" else None,
+        return project(self.projectors.stack if self.variant == "pre" else None,
                        x.reshape(-1, self.window, self.feature_dim))
 
     def _attend(self, px: np.ndarray) -> ChannelAttention:
@@ -224,9 +222,9 @@ class WindowAttentionLayer:
         """Logits of one window (k, d), shape (n_classes,), or of a stack
         (B, k, d), shape (B, n_classes). The cache entries y, pooled and
         energy carry the same leading window axis as the input; energy has
-        one entry per projector item. The channel axis of px and attention
-        counts the attending channels: one for baseline and post, the present
-        channels (len(projectors.present)) for pre."""
+        one entry per channel. The channel axis of px and attention counts
+        the attending channels: one for baseline and post, every channel for
+        pre."""
         px = self._project(x)
         logits, (_, att, pooled, energy) = self._forward(px)
         y = att.total

@@ -51,9 +51,9 @@ class ActivationRow:
     (nonzero projected query) place on the active columns (nonzero projected
     key), averaged over those rows; each such row mass lies in [0, 1] because
     the weight matrix is row-stochastic. A channel whose projection kills
-    every row of every window in a set has no mass there and is reported
-    absent (None) instead of dividing by nothing. The ratio is
-    motif / max(background, 1e-12) when both sides are present.
+    every row of every window in a set has no mass there and is reported as
+    None instead of dividing by nothing. The ratio is motif /
+    max(background, 1e-12) when both sides are present.
     """
 
     label: str
@@ -88,11 +88,9 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     ps = layer.projectors
 
     def set_masses(windows) -> list[float | None]:
-        # Masses of the present channels; an absent channel's zero projector
-        # leaves no valid row in any window, so its entry is None.
         masses, counted = [], []
         for start in range(0, len(windows), EVAL_CHUNK):
-            px = project(ps.present_stack, np.stack(windows[start:start + EVAL_CHUNK]))
+            px = project(ps.stack, np.stack(windows[start:start + EVAL_CHUNK]))
             qp, kp = px @ layer.w_q, px @ layer.w_k
             wts = channel_weights(qp, kp)
             valid_rows = np.abs(qp).max(axis=-1) > _ZERO_ROW_TOL  # (B, C, k)
@@ -103,18 +101,14 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
             # A window counts for a channel when it has a valid row and column.
             counted.append((n_rows > 0) & valid_cols.any(axis=-1))  # (B, C)
         masses, counted = np.concatenate(masses), np.concatenate(counted)
-        out = [None] * len(ps.items)
-        for j, c in enumerate(ps.present):
-            if counted[:, j].any():
-                out[c] = float(masses[counted[:, j], j].mean())
-        return out
+        return [float(masses[counted[:, c], c].mean()) if counted[:, c].any() else None
+                for c in range(len(ps.stack))]
 
     rows = []
-    for item, motif_mass, background_mass in zip(ps.items,
-                                                 set_masses(motifs),
-                                                 set_masses(backgrounds)):
+    for label, motif_mass, background_mass in zip(ps.labels, set_masses(motifs),
+                                                  set_masses(backgrounds)):
         ratio = None
         if motif_mass is not None and background_mass is not None:
             ratio = motif_mass / max(background_mass, 1e-12)
-        rows.append(ActivationRow(item.irrep.label, motif_mass, background_mass, ratio))
+        rows.append(ActivationRow(label, motif_mass, background_mass, ratio))
     return ActivationReport(rows=tuple(rows))

@@ -265,6 +265,49 @@ def test_window_size_above_the_cap_is_a_usage_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("called after a usage error")
+
+
+@pytest.mark.parametrize("command", [["dataset"], ["train", "--n", "40"]])
+def test_dataset_size_above_the_cap_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("isoattn.cli.synth.make_dataset", refuse)
+    out = tmp_path / "out"
+    code, text, err = run(capsys, *command, "--n", "100001", "--out", str(out))
+    assert (code, text, err) == (2, "", "error: --n must be in [5, 100000], got 100001\n")
+    assert not out.exists()
+
+
+def test_check_feature_width_above_the_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("isoattn.cli.irreps.projector_set", refuse)
+    monkeypatch.setattr("isoattn.cli.rand_matrix", refuse)
+    code, text, err = run(capsys, "check", "--group", "cyclic:2", "--dim", "1025")
+    assert (code, text, err) == (2, "", "error: --dim must be in [1, 1024], got 1025\n")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 1.00 TiB"), "error: Unable to allocate 1.00 TiB\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_memory_error_is_one_error_line(exc, line, capsys, monkeypatch):
+    def command(args):
+        raise exc
+    monkeypatch.setattr("isoattn.cli.cmd_info", command)
+    code, text, err = run(capsys, "info", "--group", "cyclic:2")
+    assert (code, text, err) == (1, "", line)
+
+
+def test_demo_dna_sequence_above_the_cap_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "demo"
+    code, text, err = run(capsys, "demo-dna", "A" * 121, "--out", str(out))
+    assert (code, text, err) == (2, "", "error: sequence must have 2 to 120 bases, got 121\n")
+    assert not out.exists()
+    code, text, err = run(capsys, "demo-dna", "ACGT" * 30, "--out", str(out))
+    assert code == 0 and err == ""
+    assert "window 120 group mirror:120" in text
+    assert sorted(os.listdir(out)) == ["attn_sign.csv", "attn_trivial.csv"]
+
+
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -7,10 +7,10 @@ the size of the compared values. Stacked calls of the attention functions
 and the stacked equivariance report must match their one-window calls
 bit for bit.
 
-The kernel attends only in the present channels of a projector set. The
-full-stack path, which also attends in every absent channel on its zero
-projector, is kept here as a reference: skipping those channels must change
-no value, bit for bit.
+A projector set's channels are the irreps that occur in the window action.
+The full-stack path, which also attends on the zero projector of every
+absent irrep, is kept here as a reference: the decompositions must match it
+bit for bit on the channels that occur, and the layer to within 1e-12.
 """
 
 import importlib
@@ -56,9 +56,14 @@ def ref_attention(q, k, v, p):
     return qp, kp, vp, wts, wts @ vp
 
 
+def channel_items(ps):
+    """The items of the irreps that occur, in item order: one per channel."""
+    return [item for item in ps.items if item.multiplicity > 0]
+
+
 def ref_projectors(lay):
     if lay.variant == "pre":
-        return [item.projector for item in lay.projectors.items]
+        return [item.projector for item in channel_items(lay.projectors)]
     return [None]
 
 
@@ -73,7 +78,7 @@ def ref_forward(lay, x):
     kwin = lay.window
     pooled = y.sum(axis=0) / kwin
     energy = np.array([((item.projector @ y) ** 2).sum() / kwin
-                       for item in lay.projectors.items])
+                       for item in channel_items(lay.projectors)])
     logits = pooled @ lay.w_out + energy @ lay.w_energy
     return logits, {"x": x, "channels": channels, "y": y, "pooled": pooled,
                     "energy": energy}
@@ -85,7 +90,8 @@ def ref_backward(lay, cache, dlogits):
     dpooled = lay.w_out @ dlogits
     denergy = lay.w_energy @ dlogits
     dy = dpooled / kwin + sum(2.0 * a * (item.projector @ cache["y"]) / kwin
-                              for a, item in zip(denergy, lay.projectors.items))
+                              for a, item in zip(denergy, channel_items(lay.projectors),
+                                                 strict=True))
     dq = dk = dv = 0.0
     for p, qp, kp, vp, wts in cache["channels"]:
         ds = softmax_rows_vjp(wts, dy @ vp.T) / scale
@@ -226,7 +232,7 @@ def test_decompositions_match_reference(desc, dim, seed):
     q, k, v = (rand_matrix(rng, ps.window, dim, 2.0) for _ in range(3))
     pre = decompose_pre(q, k, v, ps)
     total = 0.0
-    for item, ch in zip(ps.items, pre.channels):
+    for item, ch in zip(channel_items(ps), pre.channels, strict=True):
         _, _, _, wts, out = ref_attention(q, k, v, item.projector)
         assert ch.label == item.irrep.label
         assert_close(ch.output, out)
@@ -236,7 +242,7 @@ def test_decompositions_match_reference(desc, dim, seed):
     post = decompose_post(q, k, v, ps)
     _, _, _, wts, plain = ref_attention(q, k, v, None)
     assert_close(post.total, plain)
-    for item, ch in zip(ps.items, post.channels):
+    for item, ch in zip(channel_items(ps), post.channels, strict=True):
         assert ch.label == item.irrep.label
         assert_close(ch.output, item.projector @ plain)
         assert_close(ch.weights, wts)
@@ -255,7 +261,8 @@ def test_activation_mapping_matches_reference(case, motifs, backgrounds):
     motif_windows[0] = (motif_windows[0] + motif_windows[0][::-1]) / 2.0
     background_windows[0][0] = background_windows[0][-1]
     report = activation_mapping(lay, motif_windows, background_windows)
-    for item, row in zip(lay.projectors.items, report.rows):
+    for item, row in zip(channel_items(lay.projectors), report.rows, strict=True):
+        assert row.label == item.irrep.label
         for mass, windows in ((row.motif_mass, motif_windows),
                               (row.background_mass, background_windows)):
             expected = ref_set_mass(lay, item.projector, windows)
@@ -412,27 +419,25 @@ def test_report_rejects_map_that_changes_the_stack_shape():
             equivariance_report(fn, g, 2, 1, Rng(4))
 
 
-# ---------- present channels against the full stack ----------
+# ---------- channels against the full stack ----------
 
 ABSENT_DESCRIPTORS = ("symmetric:3", "symmetric:4", "symmetric:5", "dihedral:4",
                       "dihedral:12", "cyclic:12")
 
 
 def full_stack(ps):
-    """A copy of ps whose present channels are all of its items: the kernel
-    then also attends in the absent channels, on their zero projectors."""
+    """A copy of ps whose channels are all of its items: the kernel then also
+    attends on the zero projectors of the absent irreps."""
     full = ProjectorSet(ps.group, ps.items)
-    full.__dict__.update(present=tuple(range(len(ps.items))), present_stack=ps.stack)
+    full.__dict__.update(present=tuple(range(len(ps.items))))
     return full
 
 
-def assert_same_decomposition(dec, ref):
-    assert np.array_equal(dec.total, ref.total)
-    for ch, one in zip(dec.channels, ref.channels, strict=True):
-        assert ch.label == one.label
-        assert ch.output.shape == one.output.shape and ch.weights.shape == one.weights.shape
-        assert np.array_equal(ch.output, one.output)
-        assert np.array_equal(ch.weights, one.weights)
+def assert_same_channel(ch, one):
+    assert ch.label == one.label
+    assert ch.output.shape == one.output.shape and ch.weights.shape == one.weights.shape
+    assert np.array_equal(ch.output, one.output)
+    assert np.array_equal(ch.weights, one.weights)
 
 
 @pytest.mark.parametrize("desc", ABSENT_DESCRIPTORS)
@@ -444,27 +449,55 @@ def test_present_channels_decompose_as_the_full_stack(desc, batch):
     q, k, v = (rand_matrix(rng, int(np.prod(shape[:-1])), 4, 2.0).reshape(shape)
                for _ in range(3))
     for decompose in (decompose_pre, decompose_post):
-        assert_same_decomposition(decompose(q, k, v, ps), decompose(q, k, v, full_stack(ps)))
+        dec, ref = decompose(q, k, v, ps), decompose(q, k, v, full_stack(ps))
+        assert np.array_equal(dec.total, ref.total)
+        for ch, c in zip(dec.channels, ps.present, strict=True):
+            assert_same_channel(ch, ref.channels[c])
 
 
-def test_absent_channels_are_uniform_with_zero_output():
-    ps = projector_set(from_descriptor("symmetric:5"))
-    rng = Rng(11)
-    q, k, v = (rand_matrix(rng, 3 * ps.window, 2, 2.0).reshape(3, ps.window, 2)
-               for _ in range(3))
-    dec = decompose_pre(q, k, v, ps)
-    assert [ch.label for ch in dec.channels] == [item.irrep.label for item in ps.items]
-    for item, ch in zip(ps.items, dec.channels, strict=True):
-        assert ch.output.shape == q.shape and ch.weights.shape == (3, 5, 5)
-        if item.absent:
-            assert np.all(ch.weights == 1.0 / 5) and np.all(ch.output == 0.0)
-        else:
-            assert np.any(ch.output != 0.0)
-    post = decompose_post(q, k, v, ps)
-    for item, ch in zip(ps.items, post.channels, strict=True):
-        assert ch.output.shape == q.shape
-        if item.absent:
-            assert np.all(ch.output == 0.0)
+def test_absent_irreps_have_no_channel_and_a_zero_projector():
+    for desc in ABSENT_DESCRIPTORS:
+        ps = projector_set(from_descriptor(desc))
+        absent = [item for item in ps.items if item.absent]
+        assert absent or desc == "cyclic:12"
+        for item in absent:
+            assert item.projector.shape == (ps.window, ps.window)
+            assert not item.projector.any()
+        labels = {item.irrep.label for item in absent}
+        x = Rng(11).uniform(-1.0, 1.0, shape=(3, ps.window, 2))
+        lay = WindowAttentionLayer.random(ps, 2, 1, "pre", Rng(12))
+        names = [[ch.label for ch in decompose(x, x, x, ps).channels]
+                 for decompose in (decompose_pre, decompose_post)]
+        names.append([row.label for row in activation_mapping(lay, list(x), list(x)).rows])
+        names.append(list(ps.labels))
+        for got in names:
+            assert not labels & set(got)
+        # The channel stack holds no zero projector.
+        assert len(ps.stack) == len(ps.items) - len(absent) and all(p.any() for p in ps.stack)
+
+
+# Every group of the acceptance roster; it includes dihedral:12 and symmetric:5.
+ROSTER = (["cyclic:%d" % n for n in (1, 2, 3, 4, 6, 12, 24)]
+          + ["dihedral:%d" % n for n in (1, 2, 3, 4, 6, 12)]
+          + ["symmetric:%d" % n for n in (1, 2, 3, 4, 5)]
+          + ["mirror:%d" % n for n in (2, 4, 6, 8)]
+          + ["shift:6:3", "shift:9:3", "shift:8:4", "trivial:3", "trivial:5"])
+
+
+@pytest.mark.parametrize("desc", ROSTER)
+def test_every_consumer_has_one_channel_per_occurring_irrep(desc):
+    ps = projector_set(from_descriptor(desc))
+    n = len(ps.present)
+    labels = [item.irrep.label for item in ps.items if item.multiplicity > 0]
+    x = Rng(13).uniform(-1.0, 1.0, shape=(2, ps.window, 3))
+    lay = WindowAttentionLayer.random(ps, 3, 1, "pre", Rng(14))
+    _, cache = lay.forward(x)
+    rows = activation_mapping(lay, list(x), list(x)).rows
+    assert len(ps.stack) == n and lay.w_energy.shape == (n, 1)
+    assert cache["energy"].shape == (2, n)
+    assert list(ps.labels) == labels and [row.label for row in rows] == labels
+    for decompose in (decompose_pre, decompose_post):
+        assert [ch.label for ch in decompose(x, x, x, ps).channels] == labels
 
 
 def spy(monkeypatch, name, seen):
@@ -490,7 +523,7 @@ def test_kernel_attends_in_the_present_channels_only(desc, monkeypatch):
     lay = WindowAttentionLayer.random(ps, 3, 1, "pre", Rng(1))
     _, cache = lay.forward(x)
     assert cache["px"].shape == (2, len(ps.present), ps.window, 3)
-    assert cache["energy"].shape == (2, len(ps.items))
+    assert cache["energy"].shape == (2, len(ps.present))
     assert seen == [len(ps.present)] * 2
     seen.clear()
     decompose_post(x, x, x, ps)
@@ -498,32 +531,62 @@ def test_kernel_attends_in_the_present_channels_only(desc, monkeypatch):
     assert seen == [1, 1]
 
 
+def full_stack_layer(lay):
+    """lay on full_stack: zero w_energy rows on the absent items, the other
+    weights shared."""
+    ps = lay.projectors
+    w_energy = np.zeros((len(ps.items), lay.n_classes))
+    w_energy[list(ps.present)] = lay.w_energy
+    return WindowAttentionLayer(full_stack(ps), lay.w_q, lay.w_k, lay.w_v, lay.w_out,
+                                lay.variant, w_energy)
+
+
 @pytest.mark.parametrize("batch_size", [1, 16])
 def test_layer_on_present_channels_runs_as_the_full_stack(batch_size):
-    ps = PROJECTORS["symmetric:4"]
-    full = full_stack(ps)
-    for variant in VARIANTS:
-        lay, ref = (WindowAttentionLayer.random(p, 3, 1, variant, Rng(7)) for p in (ps, full))
-        for layer_ in (lay, ref):
-            layer_.w_energy[...] = rand_matrix(Rng(8), *layer_.w_energy.shape, 1.0)
-        xs = make_windows(lay, 45, 9)
-        labels = Rng(10).integers(2, size=45)
-        logits, cache = lay.forward(xs)
-        ref_logits, ref_cache = ref.forward(xs)
-        assert np.array_equal(logits, ref_logits)
-        for key in ("y", "pooled", "energy"):
-            assert np.array_equal(cache[key], ref_cache[key])
-        dlogits = Rng(11).uniform(-1.0, 1.0, shape=logits.shape)
-        grads, ref_grads = lay.backward(cache, dlogits), ref.backward(ref_cache, dlogits)
-        for name in WEIGHT_NAMES:
-            assert np.array_equal(grads[name], ref_grads[name])
-        cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=12, batch_size=batch_size,
-                          tracker_trials=1)
-        samples, val = list(zip(xs[:37], labels[:37])), list(zip(xs[37:], labels[37:]))
-        assert train(lay, samples, val, cfg) == train(ref, samples, val, cfg)
-        assert np.array_equal(lay.params, ref.params)
-        report = activation_mapping(lay, list(xs[:5]), list(xs[5:9]))
-        ref_report = activation_mapping(ref, list(xs[:5]), list(xs[5:9]))
-        assert report == ref_report
-        assert [row.motif_mass is None for row in report.rows] == [
-            item.absent for item in ps.items]
+    # The energy matmul has fewer rows than the full stack's, so the sums
+    # differ in rounding: to within 1e-12, not bit for bit.
+    for desc in ("symmetric:4", "dihedral:12"):
+        ps = projector_set(from_descriptor(desc))
+        present = list(ps.present)
+        for variant in VARIANTS:
+            lay = WindowAttentionLayer.random(ps, 3, 1, variant, Rng(7))
+            lay.w_energy[...] = rand_matrix(Rng(8), *lay.w_energy.shape, 1.0)
+            ref = full_stack_layer(lay)
+            xs = make_windows(lay, 45, 9)
+            labels = Rng(10).integers(2, size=45)
+            logits, cache = lay.forward(xs)
+            ref_logits, ref_cache = ref.forward(xs)
+            assert_close(logits, ref_logits)
+            for key in ("y", "pooled"):
+                assert_close(cache[key], ref_cache[key])
+            assert_close(cache["energy"], ref_cache["energy"][:, present])
+            dlogits = Rng(11).uniform(-1.0, 1.0, shape=logits.shape)
+            grads, ref_grads = lay.backward(cache, dlogits), ref.backward(ref_cache, dlogits)
+            for name in WEIGHT_NAMES[:4]:
+                assert_close(grads[name], ref_grads[name])
+            assert_close(grads["w_energy"], ref_grads["w_energy"][present])
+            assert not np.delete(ref_grads["w_energy"], present, axis=0).any()
+            cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=12, batch_size=batch_size,
+                              tracker_trials=1)
+            samples, val = list(zip(xs[:37], labels[:37])), list(zip(xs[37:], labels[37:]))
+            for row, ref_row in zip(train(lay, samples, val, cfg), train(ref, samples, val, cfg),
+                                    strict=True):
+                for key in ("train_loss", "val_loss", "val_acc", "equivariance_max"):
+                    assert_close(row[key], ref_row[key])
+            for name in WEIGHT_NAMES[:4]:
+                assert_close(getattr(lay, name), getattr(ref, name))
+            assert_close(lay.w_energy, ref.w_energy[present])
+            assert not np.delete(ref.w_energy, present, axis=0).any()
+            report = activation_mapping(lay, list(xs[:5]), list(xs[5:9]))
+            ref_rows = activation_mapping(ref, list(xs[:5]), list(xs[5:9])).rows
+            for row, c in zip(report.rows, present, strict=True):
+                ref_row = ref_rows[c]
+                assert row.label == ref_row.label
+                for got, want in ((row.motif_mass, ref_row.motif_mass),
+                                  (row.background_mass, ref_row.background_mass),
+                                  (row.ratio, ref_row.ratio)):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert_close(got, want)
+            assert all(ref_rows[c].motif_mass is None for c in range(len(ref_rows))
+                       if c not in present)
