@@ -9,11 +9,10 @@ tasks, and ships verification tools for every algebraic identity involved.
 
 from .attention import (Channel, DecompositionOutput, attention, decompose_post,
                         decompose_pre, equivariance_error, equivariance_report)
-from .groups import (FiniteGroup, Permutation, cyclic_group, dihedral_group,
-                     from_descriptor, from_permutations, identity, load_group,
-                     mirror_group, permutation_matrix, permute_rows, reversal,
-                     save_group, shift, shift_group, symmetric_group,
-                     trivial_group, verify_homomorphism)
+from .groups import (FiniteGroup, cyclic_group, dihedral_group, from_descriptor,
+                     from_permutations, load_group, mirror_group,
+                     permutation_matrix, permute_rows, save_group, shift_group,
+                     symmetric_group, trivial_group, verify_homomorphism)
 from .irreps import (ProjectorSet, RealIrrep, load_projectors, projector_set,
                      real_irreps, save_projectors, verify_projector_set)
 from .layer import (TrainConfig, WindowAttentionLayer, finite_diff_check,

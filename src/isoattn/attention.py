@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, Permutation, permute_rows
+from .groups import FiniteGroup, permute_rows
 from .irreps import ProjectorSet
 from .numerics import (Rng, as_matrix, frobenius_sq, rand_matrix, softmax_rows,
                        softmax_rows_vjp)
@@ -178,8 +178,8 @@ def _map_stack(fn, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def equivariance_error(fn, x, h: Permutation) -> float:
-    """Squared Frobenius norm of fn(action(h) x) - action(h) fn(x).
+def equivariance_error(fn, x, h) -> float:
+    """Squared Frobenius norm of fn(action(h) x) - action(h) fn(x) for a mapping h.
 
     fn maps a stack of windows (B, k, d) to a stack of the same shape; it is
     called once, on the stack (x, action(h) x).

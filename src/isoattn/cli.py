@@ -133,13 +133,11 @@ def cmd_demo_dna(args) -> int:
             raise UsageError(f"symbol {ch!r} is not a DNA base (expected A, C, G or T)")
     if not 2 <= len(seq) <= MAX_K:
         raise UsageError(f"sequence must have 2 to {MAX_K} bases, got {len(seq)}")
-    symbols = synth.text_to_symbols(seq, 4)
-    window = synth.SequenceWindow(symbols, 4, 1, "demo")
     g = groups.mirror_group(len(seq))
     ps = irreps.projector_set(g)
     rng = Rng(args.seed)
     lay = layer.WindowAttentionLayer.random(ps, 4, 1, "pre", rng)
-    x = window.features
+    x = synth.encode_onehot(synth.text_to_symbols(seq, 4), 4)
     dec = decompose_pre(x @ lay.w_q, x @ lay.w_k, x @ lay.w_v, ps)
     os.makedirs(args.out, exist_ok=True)
     _log(f"sequence {seq} window {len(seq)} group {g.descriptor}")

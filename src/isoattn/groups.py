@@ -19,8 +19,11 @@ Families:
     trivial_group(k)     order 1 on a k-window
     from_permutations    custom group from an explicit closed permutation list
 
-The window action is row-based: element h moves row j of a window matrix to
-row h(j), i.e. (action(h) x)[i] = x[h^-1(i)].
+A permutation is a mapping, a sequence p of ints with p[j] the image of j;
+the elements of a group are the rows of its `perm`. Composing is p[q] (apply
+q first) and inverting is np.argsort(p). The window action is row-based:
+element h moves row j of a window matrix to row h[j], i.e.
+(action(h) x)[i] = x[h^-1[i]].
 """
 
 from __future__ import annotations
@@ -46,87 +49,30 @@ _CODE_CAP = np.iinfo(np.int64).max
 _LOOKUP_BUDGET = 1 << 14
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of 0..k-1, stored as the image tuple mapping[i] = image of i."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        k = len(self.mapping)
-        if k == 0 or sorted(self.mapping) != list(range(k)):
-            raise ValueError(f"mapping {self.mapping!r} is not a bijection of 0..{k - 1}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Apply `other` first, then self."""
-        if self.degree != other.degree:
-            raise ValueError(f"compose: degrees differ, {self.degree} vs {other.degree}")
-        return Permutation(tuple(self.mapping[j] for j in other.mapping))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.mapping):
-            inv[img] = i
-        return Permutation(tuple(inv))
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths in decreasing order."""
-        seen = [False] * self.degree
-        lengths = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            n, i = 0, start
-            while not seen[i]:
-                seen[i] = True
-                i = self.mapping[i]
-                n += 1
-            lengths.append(n)
-        return tuple(sorted(lengths, reverse=True))
+def _mapping(p, who: str) -> np.ndarray:
+    """p as an intp array, checked to be a bijection of 0..k-1 for some k >= 1."""
+    m = np.asarray(p)
+    if (m.ndim != 1 or not m.size or m.dtype.kind not in "biuf"
+            or not np.array_equal(np.sort(m), np.arange(m.size))):
+        raise ValueError(f"{who}: {p!r} is not a bijection of 0..k-1")
+    return m.astype(np.intp)
 
 
-def identity(k: int) -> Permutation:
-    if k < 1:
-        raise ValueError(f"identity: degree must be >= 1, got {k}")
-    return Permutation(tuple(range(k)))
-
-
-def reversal(k: int) -> Permutation:
-    """i -> k-1-i, the mirror of window positions."""
-    if k < 1:
-        raise ValueError(f"reversal: degree must be >= 1, got {k}")
-    return Permutation(tuple(k - 1 - i for i in range(k)))
-
-
-def shift(k: int, step: int) -> Permutation:
-    """i -> (i + step) mod k, a cyclic shift of window positions."""
-    if k < 1:
-        raise ValueError(f"shift: degree must be >= 1, got {k}")
-    return Permutation(tuple((i + step) % k for i in range(k)))
-
-
-def permutation_matrix(p: Permutation) -> Matrix:
+def permutation_matrix(p) -> Matrix:
     """Orthogonal 0/1 matrix P with (P x)[i] = x[p^-1(i)] for row vectors x."""
-    m = np.zeros((p.degree, p.degree), dtype=np.float64)
-    for j, img in enumerate(p.mapping):
-        m[img, j] = 1.0
+    p = _mapping(p, "permutation_matrix")
+    m = np.zeros((p.size, p.size), dtype=np.float64)
+    m[p, np.arange(p.size)] = 1.0
     return m
 
 
-def permute_rows(p: Permutation, x: Matrix) -> Matrix:
-    """Apply the window action of p to x without forming the matrix."""
+def permute_rows(p, x: Matrix) -> Matrix:
+    """Apply the window action of the mapping p to x without forming the matrix."""
+    p = _mapping(p, "permute_rows")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != p.degree:
-        raise ValueError(f"permute_rows: expected {p.degree} rows, got shape {x.shape}")
-    inv = p.inverse().mapping
-    return x[list(inv), :]
+    if x.ndim != 2 or x.shape[0] != p.size:
+        raise ValueError(f"permute_rows: expected {p.size} rows, got shape {x.shape}")
+    return x[np.argsort(p)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +85,8 @@ class FiniteGroup:
     (p o q) = perm[i][perm[j]], and for any matrix P, P M_p = P[:, p] and
     M_p P = P[p^-1, :] exactly.
 
-    `cayley[i, j]` is the index of elements[i] * elements[j], where the product
-    acts by applying element j first. `kind` names the abstract family and `n`
+    `cayley[i, j]` is the index of the product of elements i and j, which acts
+    by applying element j first. `kind` names the abstract family and `n`
     its parameter; `degree` is the window size acted on, which for the mirror,
     shift and trivial families differs from the natural degree of the family.
     """
@@ -160,16 +106,11 @@ class FiniteGroup:
         return len(self.perm)
 
     @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        """The rows of perm as Permutation objects."""
-        return tuple(Permutation(tuple(row)) for row in self.perm.tolist())
-
-    @cached_property
     def inverse_perm(self) -> np.ndarray:
         """The inverse mappings as one read-only (order, degree) int array.
 
-        Row i is the mapping of elements[i]^-1, the inverse of row i of perm,
-        so x[inverse_perm[i]] is action(elements[i]) x for a window x.
+        Row i is the inverse of row i of perm, so x[inverse_perm[i]] is the
+        action of element i on a window x.
         """
         inv = self.perm[list(self.inverse)]
         inv.setflags(write=False)
@@ -321,25 +262,27 @@ def symmetric_group(k: int) -> FiniteGroup:
 
 
 def from_permutations(perms) -> FiniteGroup:
-    """Build a custom group from an explicit list of distinct permutations.
+    """Build a custom group from an explicit list of distinct mappings, each a
+    sequence of ints.
 
     The list must be closed under composition; the table is found by lookup,
     so the action must be faithful (no duplicate permutations).
     """
-    elements = [p if isinstance(p, Permutation) else Permutation(tuple(p)) for p in perms]
-    if not elements:
+    rows = [_mapping(p, "from_permutations") for p in perms]
+    if not rows:
         raise ValueError("from_permutations: empty element list")
-    if len(elements) > _MAX_ORDER:
-        raise ValueError(f"from_permutations: order {len(elements)} exceeds the cap {_MAX_ORDER}")
-    degree = elements[0].degree
+    if len(rows) > _MAX_ORDER:
+        raise ValueError(f"from_permutations: order {len(rows)} exceeds the cap {_MAX_ORDER}")
+    degree = rows[0].size
     seen = set()
-    for p in elements:
-        if p.degree != degree:
+    for row in rows:
+        if row.size != degree:
             raise ValueError("from_permutations: mixed degrees in element list")
-        if p.mapping in seen:
-            raise ValueError(f"from_permutations: duplicate element {p.mapping!r}")
-        seen.add(p.mapping)
-    perm = np.array([p.mapping for p in elements], dtype=np.intp)
+        key = tuple(row.tolist())
+        if key in seen:
+            raise ValueError(f"from_permutations: duplicate element {key!r}")
+        seen.add(key)
+    perm = np.stack(rows)
     cayley = _cayley_by_lookup(perm)
     if (cayley < 0).any():
         raise ValueError("from_permutations: element list is not closed under composition")

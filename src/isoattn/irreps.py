@@ -108,9 +108,25 @@ _SYMMETRIC_TABLES: dict[int, list[tuple[str, int, dict[tuple[int, ...], int]]]] 
 }
 
 
+def _cycle_type(p: list[int]) -> tuple[int, ...]:
+    """Cycle lengths of a mapping in decreasing order."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        n, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            n += 1
+        lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def _symmetric_irreps(g: FiniteGroup) -> list[RealIrrep]:
     table = _SYMMETRIC_TABLES[g.n]
-    types = [p.cycle_type() for p in g.elements]
+    types = [_cycle_type(row) for row in g.perm.tolist()]
     out = []
     for label, dim, by_type in table:
         out.append(RealIrrep(label, dim, tuple(float(by_type[t]) for t in types)))

@@ -138,6 +138,9 @@ class WindowAttentionLayer:
     def random(cls, projectors: ProjectorSet, feature_dim: int, n_classes: int,
                variant: str, rng: Rng) -> "WindowAttentionLayer":
         """Uniform init in [-s, s] with s = 1/sqrt(feature_dim); w_energy starts at zero."""
+        if feature_dim < 1 or n_classes < 1:
+            raise ValueError(f"feature_dim and n_classes must be >= 1, got {feature_dim} "
+                             f"and {n_classes}")
         s = feature_dim ** -0.5
         return cls(projectors,
                    rand_matrix(rng, feature_dim, feature_dim, s),
@@ -302,6 +305,7 @@ class TrainConfig:
     learning_rate: float
     seed: int
     batch_size: int = 1
+    # train never reads task; it stays because the CLI and bench/run.py pass it.
     task: str = ""
     tracker_trials: int = 2
 

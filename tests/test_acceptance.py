@@ -123,7 +123,7 @@ def test_criterion_5_attention_equivariance():
             base_plain = attention(x @ wq, x @ wk, x @ wv)
             base_pre = decompose_pre(x @ wq, x @ wk, x @ wv, ps)
             base_post = decompose_post(x @ wq, x @ wk, x @ wv, ps)
-            for h in g.elements:
+            for h in g.perm:
                 xp = permute_rows(h, x)
                 perm_plain = attention(xp @ wq, xp @ wk, xp @ wv)
                 perm_pre = decompose_pre(xp @ wq, xp @ wk, xp @ wv, ps)

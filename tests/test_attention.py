@@ -18,8 +18,6 @@ from isoattn.groups import (
     dihedral_group,
     mirror_group,
     permute_rows,
-    reversal,
-    identity,
     trivial_group,
 )
 from isoattn.irreps import projector_set
@@ -56,7 +54,7 @@ def test_channel_weights_row_stochastic():
 
 def test_attention_equivariant_under_reversal():
     q, k, v = seeded_qkv(4, 4, 8)
-    h = reversal(4)
+    h = [3, 2, 1, 0]
     left = attention(permute_rows(h, q), permute_rows(h, k), permute_rows(h, v))
     right = permute_rows(h, attention(q, k, v))
     assert ((left - right) ** 2).sum() < 1e-12
@@ -111,7 +109,7 @@ def test_pre_equivariant_total_and_channels():
     g = mirror_group(6)
     ps = projector_set(g)
     q, k, v = seeded_qkv(7, 6, 4)
-    h = g.elements[1]
+    h = g.perm[1]
     dec_moved = decompose_pre(permute_rows(h, q), permute_rows(h, k),
                               permute_rows(h, v), ps)
     dec = decompose_pre(q, k, v, ps)
@@ -157,7 +155,7 @@ def test_decompose_window_mismatch():
 def test_equivariance_error_identity_is_zero():
     x = rand_matrix(Rng(12), 4, 4, 1.0)
     fn = lambda m: attention(m, m, m)
-    assert equivariance_error(fn, x, identity(4)) == 0.0
+    assert equivariance_error(fn, x, range(4)) == 0.0
 
 
 def test_equivariance_error_attention_tiny():
@@ -166,7 +164,7 @@ def test_equivariance_error_attention_tiny():
     fn = lambda m: attention(m, m, m)
     for _ in range(10):
         x = rand_matrix(rng, 4, 6, 1.0)
-        for h in g.elements:
+        for h in g.perm:
             assert equivariance_error(fn, x, h) < 1e-20
 
 
@@ -177,14 +175,21 @@ def test_equivariance_error_flags_broken_map():
         return out
 
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    err = equivariance_error(zero_row0, x, reversal(2))
+    err = equivariance_error(zero_row0, x, (1, 0))
     assert err > 0.0
 
 
 def test_equivariance_error_rejects_shape_change():
     fn = lambda m: m[..., :1, :]
     with pytest.raises(ValueError):
-        equivariance_error(fn, np.eye(3), identity(3))
+        equivariance_error(fn, np.eye(3), (0, 1, 2))
+
+
+@pytest.mark.parametrize("h", [(0, 0, 1), (), (0, 1)])
+def test_equivariance_error_rejects_a_non_bijection_or_wrong_degree(h):
+    fn = lambda m: attention(m, m, m)
+    with pytest.raises(ValueError, match="^permute_rows: "):
+        equivariance_error(fn, np.eye(3), h)
 
 
 def test_equivariance_report_attention():
@@ -249,7 +254,7 @@ def test_equivariance_error_calls_fn_once_on_two_windows():
 
     g = cyclic_group(4)
     x = rand_matrix(Rng(19), 4, 3, 1.0)
-    h = g.elements[1]
+    h = g.perm[1]
     err = equivariance_error(fn, x, h)
     assert len(calls) == 1 and calls[0].shape == (2, 4, 3)
     assert np.array_equal(calls[0][0], x) and np.array_equal(calls[0][1], permute_rows(h, x))

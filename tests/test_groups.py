@@ -14,24 +14,21 @@ from isoattn.groups import (
     FiniteGroup,
     _cayley_by_lookup,
     _row_codes,
-    Permutation,
     cyclic_group,
     dihedral_group,
     from_descriptor,
     from_permutations,
-    identity,
     load_group,
     mirror_group,
     permutation_matrix,
     permute_rows,
-    reversal,
     save_group,
-    shift,
     shift_group,
     symmetric_group,
     trivial_group,
     verify_homomorphism,
 )
+from isoattn.irreps import _cycle_type
 
 ROSTER = [
     cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4),
@@ -42,6 +39,22 @@ ROSTER = [
     symmetric_group(4), symmetric_group(5),
     mirror_group(6), shift_group(9, 3), trivial_group(4),
 ]
+
+
+def compose(p, q):  # apply q first, then p
+    return tuple(p[j] for j in q)
+
+
+def inverse(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def shift(k, step):
+    return tuple((i + step) % k for i in range(k))
+
+
+def rows(g):
+    return [tuple(row) for row in g.perm.tolist()]
 
 
 def brute_force_classes(g):
@@ -58,36 +71,40 @@ def brute_force_classes(g):
     return set(classes)
 
 
-def test_compose_hand_examples():
-    swap = Permutation((1, 0))
-    assert swap.compose(swap).mapping == (0, 1)
-    cycle = shift(3, 1)
-    twice = cycle.compose(cycle)
-    assert twice.mapping == shift(3, 2).mapping
-    p = Permutation((2, 0, 1, 3))
-    assert identity(4).compose(p).mapping == p.mapping
-
-
-def test_compose_inverse_identity():
-    for g in (symmetric_group(4), dihedral_group(5)):
-        for p in g.elements:
-            assert p.compose(p.inverse()).mapping == identity(p.degree).mapping
-            assert p.inverse().compose(p).mapping == identity(p.degree).mapping
-
-
-def test_compose_degree_mismatch():
-    with pytest.raises(ValueError):
-        identity(2).compose(identity(3))
-
-
 def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+    for bad in ((0, 0, 1), (), (1, 2), (0, 1.5), ((0, 1), (1, 0)), "ab"):
+        with pytest.raises(ValueError, match="^from_permutations: .* is not a bijection"):
+            from_permutations([bad])
+        with pytest.raises(ValueError, match="^permute_rows: .* is not a bijection"):
+            permute_rows(bad, np.eye(3))
+        with pytest.raises(ValueError, match="^permutation_matrix: .* is not a bijection"):
+            permutation_matrix(bad)
+
+
+MAPPINGS = st.one_of(st.integers(1, 6).flatmap(lambda k: st.permutations(range(k))),
+                     st.lists(st.integers(-2, 6), max_size=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=MAPPINGS, data=st.data())
+def test_mappings_accepted_exactly_when_bijections(p, data):
+    # The three entry points accept exactly the bijections of 0..k-1, k >= 1,
+    # and the gather permute_rows equals the matrix product exactly.
+    if not p or sorted(p) != list(range(len(p))):
+        for call in (lambda: from_permutations([p]), lambda: permute_rows(p, np.eye(len(p))),
+                     lambda: permutation_matrix(p)):
+            with pytest.raises(ValueError, match="is not a bijection of 0..k-1$"):
+                call()
+        return
+    assert tuple(p) in rows(from_permutations(closure([tuple(p)], len(p))))
+    x = np.array(data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+                                    min_size=len(p), max_size=len(p))), dtype=np.float64)
+    assert np.array_equal(permute_rows(p, x), permutation_matrix(p) @ x)
 
 
 def test_permutation_matrix_hand_values():
-    assert np.array_equal(permutation_matrix(identity(3)), np.eye(3))
-    assert np.array_equal(permutation_matrix(reversal(2)), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(permutation_matrix([0, 1, 2]), np.eye(3))
+    assert np.array_equal(permutation_matrix([1, 0]), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_permutation_matrix_shift_rows():
@@ -99,9 +116,9 @@ def test_permutation_matrix_shift_rows():
 
 def test_permutation_matrices_orthogonal():
     for g in (symmetric_group(4), dihedral_group(6)):
-        for p in g.elements:
+        for p in g.perm:
             m = permutation_matrix(p)
-            assert np.array_equal(m.T @ m, np.eye(p.degree))
+            assert np.array_equal(m.T @ m, np.eye(g.degree))
 
 
 def test_cyclic_structure():
@@ -110,9 +127,9 @@ def test_cyclic_structure():
 
     g2 = cyclic_group(2)
     assert g2.order == 2 and len(g2.classes) == 2
-    flip = g2.elements[1]
-    assert flip.mapping == reversal(2).mapping
-    assert flip.compose(flip).mapping == identity(2).mapping
+    flip = rows(g2)[1]
+    assert flip == (1, 0)
+    assert compose(flip, flip) == (0, 1)
 
     g4 = cyclic_group(4)
     assert g4.order == 4
@@ -144,7 +161,7 @@ def test_dihedral_2_nonfaithful_kernel():
     g = dihedral_group(2)
     assert g.order == 4
     assert g.degree == 2
-    kernel = [p for p in g.elements
+    kernel = [p for p in g.perm
               if np.array_equal(permutation_matrix(p), np.eye(2))]
     assert len(kernel) == 2
 
@@ -163,7 +180,7 @@ def test_symmetric_structure():
 def test_extended_constructors():
     m = mirror_group(6)
     assert m.order == 2 and m.degree == 6
-    assert m.elements[1].mapping == reversal(6).mapping
+    assert rows(m)[1] == (5, 4, 3, 2, 1, 0)
     s = shift_group(9, 3)
     assert s.order == 3 and s.degree == 9
     t = trivial_group(4)
@@ -189,9 +206,10 @@ def test_group_axioms_exhaustive():
 
 def assert_cayley_composes(g):
     # Per-pair reference: entry (i, j) names the composed mapping.
-    for i, p in enumerate(g.elements):
-        for j, q in enumerate(g.elements):
-            assert g.elements[g.cayley[i, j]].mapping == p.compose(q).mapping
+    elements = rows(g)
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            assert elements[g.cayley[i, j]] == compose(p, q)
 
 
 KLEIN4 = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
@@ -233,7 +251,7 @@ def test_homomorphism_caps_groups_built_another_way():
 
 def brute_violations(g, table):
     # Per-pair oracle: every (i, j), in order, whose product disagrees with table.
-    mats = [permutation_matrix(p).astype(np.int64) for p in g.elements]
+    mats = [permutation_matrix(p).astype(np.int64) for p in g.perm]
     return tuple((i, j) for i in range(g.order) for j in range(g.order)
                  if not np.array_equal(mats[i] @ mats[j], mats[table[i, j]]))
 
@@ -273,17 +291,17 @@ def test_composition_lemma_exhaustive():
     g = symmetric_group(4)
     perm = g.perm
     assert perm.shape == (24, 4) and not perm.flags.writeable
-    assert [tuple(row) for row in perm.tolist()] == [p.mapping for p in g.elements]
+    assert rows(g) == list(itertools.permutations(range(4)))
     x = np.random.default_rng(0).standard_normal((4, 4))
     pairs = 0
-    for i, p in enumerate(g.elements):
+    for i, p in enumerate(rows(g)):
         mp = permutation_matrix(p)
         assert np.array_equal(x @ mp, x[:, perm[i]])
-        assert np.array_equal(mp @ x, x[list(p.inverse().mapping), :])
-        for j, q in enumerate(g.elements):
-            pq = p.compose(q)
+        assert np.array_equal(mp @ x, x[list(inverse(p)), :])
+        for j, q in enumerate(rows(g)):
+            pq = compose(p, q)
             assert np.array_equal(mp @ permutation_matrix(q), permutation_matrix(pq))
-            assert tuple(perm[i][perm[j]]) == pq.mapping
+            assert tuple(perm[i][perm[j]]) == pq
             pairs += 1
     assert pairs == 576
 
@@ -297,11 +315,11 @@ def fixing_tail(mapping, n):
 def test_from_permutations_large_degree(n):
     # From degree 16 on, row codes are renumbered before they overflow; groups
     # that move only the first positions differ only in the leading digits.
-    closed = ([p.mapping for p in cyclic_group(n).elements[::-1]],
+    closed = (rows(cyclic_group(n))[::-1],
               [fixing_tail(m, n) for m in itertools.permutations(range(4))])
     for perms in closed:
         assert_cayley_composes(from_permutations(perms))
-    not_closed = ([identity(n).mapping, shift(n, 1).mapping],
+    not_closed = ([shift(n, 0), shift(n, 1)],
                   [fixing_tail(m, n) for m in ((0, 1, 2), (1, 0, 2), (0, 2, 1))])
     for perms in not_closed:
         with pytest.raises(ValueError, match="^from_permutations: element list is not closed"):
@@ -337,7 +355,7 @@ def test_blocked_lookup_matches_the_one_shot_table(budget, monkeypatch):
     monkeypatch.setattr(groups_module, "_LOOKUP_BUDGET", budget)
     perms = [g.perm for g in LOOKUP_GROUPS] + [block_shifts(120, 12), block_shifts(240, 24)]
     # A product that is not a row: the table marks it -1.
-    perms.append(np.array([identity(5).mapping, shift(5, 1).mapping], dtype=np.intp))
+    perms.append(np.array([shift(5, 0), shift(5, 1)], dtype=np.intp))
     for perm in perms:
         table = _cayley_by_lookup(perm)
         assert table.dtype == np.int64
@@ -368,27 +386,28 @@ def test_inverse_perm_is_the_argsort_of_perm():
 
 
 def test_from_permutations_errors_unchanged():
-    swap, cycle = Permutation((1, 0, 2)), Permutation((1, 2, 0))
+    e3, e2, swap, cycle = (0, 1, 2), (0, 1), (1, 0, 2), (1, 2, 0)
     with pytest.raises(ValueError, match="^from_permutations: element list is not closed "
                                          "under composition$"):
-        from_permutations([identity(3), swap, cycle])
+        from_permutations([e3, swap, cycle])
     with pytest.raises(ValueError, match=r"^from_permutations: duplicate element \(1, 0, 2\)$"):
-        from_permutations([identity(3), swap, cycle, swap])
+        from_permutations([e3, swap, cycle, swap])
+    with pytest.raises(ValueError, match=r"^from_permutations: duplicate element \(1, 0, 2\)$"):
+        from_permutations(np.array([e3, swap, cycle, swap]))
     with pytest.raises(ValueError, match="^from_permutations: mixed degrees in element list$"):
-        from_permutations([identity(3), identity(2), identity(2)])
+        from_permutations([e3, e2, e2])
     with pytest.raises(ValueError, match=r"^from_permutations: duplicate element \(0, 1\)$"):
-        from_permutations([identity(2), identity(2), identity(3)])
+        from_permutations([e2, e2, e3])
 
 
 def test_from_permutations_closure_check():
-    swap = Permutation((1, 0, 2))
-    cycle = Permutation((1, 2, 0))
-    g = from_permutations([identity(3), swap, cycle,
-                           cycle.compose(cycle),
-                           swap.compose(cycle), cycle.compose(swap)])
+    swap = (1, 0, 2)
+    cycle = (1, 2, 0)
+    g = from_permutations([(0, 1, 2), swap, cycle, compose(cycle, cycle),
+                           compose(swap, cycle), compose(cycle, swap)])
     assert g.order == 6
     with pytest.raises(ValueError):
-        from_permutations([identity(3), swap, cycle])
+        from_permutations([(0, 1, 2), swap, cycle])
 
 
 def test_from_descriptor():
@@ -427,18 +446,18 @@ def test_save_load_roundtrip(tmp_path):
         save_group(g, str(path))
         back = load_group(str(path))
         assert back.descriptor == g.descriptor
-        assert [p.mapping for p in back.elements] == [p.mapping for p in g.elements]
+        assert rows(back) == rows(g)
         assert np.array_equal(back.cayley, g.cayley)
 
 
 def test_save_load_custom_group(tmp_path):
-    perms = [Permutation(p) for p in itertools.permutations(range(3))]
+    perms = list(itertools.permutations(range(3)))
     g = from_permutations(perms)
     path = tmp_path / "custom.grp"
     save_group(g, str(path))
     back = load_group(str(path))
     assert back.order == 6
-    assert {p.mapping for p in back.elements} == {p.mapping for p in g.elements}
+    assert set(rows(back)) == set(rows(g))
 
 
 @pytest.mark.parametrize("edit", [("order 8", "order 9"), ("kind dihedral", "kind cyclic"),
@@ -454,7 +473,7 @@ def test_load_group_rejects_a_header_that_disagrees(tmp_path, edit):
 def test_load_group_rejects_a_truncated_custom_group(tmp_path):
     # The first two elements of S3 in this order form a closed subgroup, so
     # only the stored order line tells the cut apart from a group of order 2.
-    perms = [Permutation(p) for p in itertools.permutations(range(3))]
+    perms = list(itertools.permutations(range(3)))
     path = tmp_path / "custom.grp"
     save_group(from_permutations(perms), str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -464,13 +483,14 @@ def test_load_group_rejects_a_truncated_custom_group(tmp_path):
 
 
 def test_cycle_type():
-    assert identity(4).cycle_type() == (1, 1, 1, 1)
-    assert reversal(2).cycle_type() == (2,)
-    assert Permutation((1, 2, 0, 3)).cycle_type() == (3, 1)
+    assert _cycle_type([0, 1, 2, 3]) == (1, 1, 1, 1)
+    assert _cycle_type([1, 0]) == (2,)
+    assert _cycle_type([1, 2, 0, 3]) == (3, 1)
+    assert _cycle_type([1, 0, 3, 4, 2]) == (3, 2)
 
 
 # Reference: the per-element builders the array builders replaced. Each
-# family lists Permutation objects and a Python-list table; ref_assemble finds
+# family lists mapping tuples and a Python-list table; ref_assemble finds
 # the identity, inverses and classes with per-element loops.
 
 def ref_conjugacy_classes(cayley, inverse):
@@ -503,10 +523,10 @@ def ref_assemble(kind, n, degree, descriptor, elements, cayley):
         assert len(hits) == 1 and cayley[hits[0], i] == identity_index
         inverse.append(int(hits[0]))
     inverse = tuple(inverse)
-    perm = np.array([p.mapping for p in elements], dtype=np.intp)
+    perm = np.array(elements, dtype=np.intp)
     return dict(kind=kind, n=n, degree=degree, descriptor=descriptor, perm=perm, cayley=cayley,
                 inverse=inverse, classes=ref_conjugacy_classes(cayley, inverse),
-                identity_index=identity_index, mappings=[p.mapping for p in elements],
+                identity_index=identity_index, mappings=list(elements),
                 inverse_perm=perm[list(inverse)])
 
 
@@ -524,17 +544,17 @@ def ref_shift(k, step):
 
 
 def ref_trivial(k):
-    return ref_assemble("cyclic", 1, k, f"trivial:{k}", [identity(k)], [[0]])
+    return ref_assemble("cyclic", 1, k, f"trivial:{k}", [shift(k, 0)], [[0]])
 
 
 def ref_mirror(k):
-    return ref_assemble("cyclic", 2, k, f"mirror:{k}", [identity(k), reversal(k)],
+    return ref_assemble("cyclic", 2, k, f"mirror:{k}", [shift(k, 0), shift(k, 0)[::-1]],
                         [[0, 1], [1, 0]])
 
 
 def ref_dihedral(n):
     elements = [shift(n, m) for m in range(n)]
-    elements += [Permutation(tuple((m - i) % n for i in range(n))) for m in range(n)]
+    elements += [tuple((m - i) % n for i in range(n)) for m in range(n)]
 
     def mult(i, j):
         # Index m < n is rotation by m, index n+m reflects through m.
@@ -554,18 +574,18 @@ def ref_dihedral(n):
 
 def ref_lookup(kind, n, descriptor, elements):
     # Faithful groups: entry (i, j) is the index of the composed mapping.
-    index = {p.mapping: i for i, p in enumerate(elements)}
-    cayley = [[index[p.compose(q).mapping] for q in elements] for p in elements]
-    return ref_assemble(kind, n, elements[0].degree, descriptor, elements, cayley)
+    index = {p: i for i, p in enumerate(elements)}
+    cayley = [[index[compose(p, q)] for q in elements] for p in elements]
+    return ref_assemble(kind, n, len(elements[0]), descriptor, elements, cayley)
 
 
 def ref_symmetric(k):
-    elements = [Permutation(m) for m in itertools.permutations(range(k))]
+    elements = list(itertools.permutations(range(k)))
     return ref_lookup("symmetric", k, f"symmetric:{k}", elements)
 
 
 def ref_custom(perms):
-    elements = [p if isinstance(p, Permutation) else Permutation(tuple(map(int, p))) for p in perms]
+    elements = [tuple(map(int, p)) for p in perms]
     return ref_lookup("custom", 0, "custom", elements)
 
 
@@ -576,12 +596,12 @@ def assert_matches_reference(g, ref):
         ours = getattr(g, field)
         assert ours.dtype == ref[field].dtype and ours.shape == ref[field].shape, field
         assert ours.tobytes() == ref[field].tobytes(), field
-    assert [p.mapping for p in g.elements] == ref["mappings"]
+    assert rows(g) == ref["mappings"]
 
 
 SIZES = list(range(1, 25)) + [48, 61, 120]
-CUSTOM = ([KLEIN4, S3, S3[::-1], [Permutation(p) for p in S3]]
-          + [[p.mapping for p in cyclic_group(n).elements[::-1]] for n in (16, 32, 48, 120)]
+CUSTOM = ([KLEIN4, S3, S3[::-1], [list(p) for p in S3]]
+          + [rows(cyclic_group(n))[::-1] for n in (16, 32, 48, 120)]
           + [[fixing_tail(m, n) for m in itertools.permutations(range(4))]
              for n in (16, 32, 48, 120)]
           + [block_shifts(120, 12), block_shifts(240, 24)])
@@ -641,6 +661,6 @@ def test_random_closed_subgroups_are_groups(perms):
     assert verify_homomorphism(g).ok
     # Brute-force conjugation on the mappings: the class of x is {p x p^-1}.
     index = {tuple(row): i for i, row in enumerate(g.perm.tolist())}
-    brute = {frozenset(index[p.compose(x).compose(p.inverse()).mapping] for p in g.elements)
-             for x in g.elements}
+    brute = {frozenset(index[compose(compose(p, x), inverse(p))] for p in index)
+             for x in index}
     assert {frozenset(c) for c in g.classes} == brute

@@ -43,8 +43,8 @@ def oracle_multiplicity(g, irrep):
     # trace(P) recomputed from characters and fixed-point counts alone.
     coeff = irrep.dim / 2 if irrep.pair else float(irrep.dim)
     total = 0.0
-    for idx, p in enumerate(g.elements):
-        fixed = sum(1 for i in range(p.degree) if p(i) == i)
+    for idx, p in enumerate(g.perm.tolist()):
+        fixed = sum(1 for i, img in enumerate(p) if img == i)
         total += irrep.characters[g.inverse[idx]] * fixed
     return coeff * total / (g.order * irrep.dim)
 
@@ -214,7 +214,7 @@ def test_projector_commutes_with_action():
     g = dihedral_group(4)
     ps = projector_set(g)
     for item in ps.items:
-        for p in g.elements:
+        for p in g.perm:
             m = permutation_matrix(p)
             delta = np.abs(item.projector @ m - m @ item.projector).max()
             assert delta < 1e-12
@@ -225,7 +225,7 @@ def reference_projector(g, irrep):
     k = g.degree
     acc = np.zeros((k, k), dtype=np.float64)
     for h in range(g.order):
-        acc += irrep.characters[g.inverse[h]] * permutation_matrix(g.elements[h])
+        acc += irrep.characters[g.inverse[h]] * permutation_matrix(g.perm[h])
     coeff = irrep.dim / 2.0 if irrep.pair else float(irrep.dim)
     return acc * (coeff / g.order)
 
@@ -248,7 +248,7 @@ def reference_report(ps):
     # Per-projector, per-pair and per-element products, as the identities read.
     frob = lambda m: math.sqrt(float((m * m).sum()))  # noqa: E731
     projs = [item.projector for item in ps.items]
-    mats = [permutation_matrix(p) for p in ps.group.elements]
+    mats = [permutation_matrix(p) for p in ps.group.perm]
     return ProjectorSetReport(
         idempotency=max(frob(p @ p - p) for p in projs),
         orthogonality=max([frob(p @ q) for i, p in enumerate(projs) for q in projs[i + 1:]],

@@ -141,7 +141,7 @@ def ref_equivariance_report(fn, g, dim, trials, rng):
     for _ in range(trials):
         x = rand_matrix(rng, g.degree, dim, 1.0)
         base = fn(x[None])[0]
-        for h in g.elements:
+        for h in g.perm:
             left = fn(permute_rows(h, x)[None])[0]
             errors.append(frobenius_sq(left - permute_rows(h, base)))
     return max(errors), float(np.mean(errors))
@@ -377,7 +377,7 @@ def test_report_passes_each_moved_window_once_per_trial():
     for stack in calls:
         x = rand_matrix(rng, g.degree, 3, 1.0)
         assert stack.shape == (g.order, g.degree, 3)
-        for h, window in zip(g.elements, stack, strict=True):
+        for h, window in zip(g.perm, stack, strict=True):
             assert np.array_equal(window, permute_rows(h, x))
 
 

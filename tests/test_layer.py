@@ -72,7 +72,7 @@ def test_logits_invariant_all_variants_all_elements():
     for variant in VARIANTS:
         lay = small_layer(variant, seed=7)
         base, _ = lay.forward(x)
-        for h in g.elements:
+        for h in g.perm:
             moved, _ = lay.forward(permute_rows(h, x))
             assert abs(moved[0] - base[0]) < 1e-10
 
@@ -98,6 +98,12 @@ def test_w_energy_shape_validation():
                              np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("feature_dim, n_classes", [(0, 1), (4, 0), (-1, 1)])
+def test_random_rejects_empty_dimensions(feature_dim, n_classes):
+    with pytest.raises(ValueError, match="^feature_dim and n_classes must be >= 1"):
+        WindowAttentionLayer.random(Z2_K6, feature_dim, n_classes, "pre", Rng(0))
+
+
 def test_sign_energy_zero_on_palindromes_all_variants():
     sign = [item.irrep.label for item in Z2_K6.items].index("sign")
     for seed in range(20):
@@ -118,7 +124,7 @@ def test_energy_readout_matches_norms_and_is_invariant():
         norms = [frobenius_sq(item.projector @ cache["y"]) / 6 for item in Z2_K6.items]
         assert np.allclose(cache["energy"], norms, rtol=1e-12, atol=0.0)
         assert abs(cache["energy"] @ lay.w_energy[:, 0]) > 1e-3
-        for h in g.elements:
+        for h in g.perm:
             moved, _ = lay.forward(permute_rows(h, x))
             assert abs(moved[0] - base[0]) < 1e-10
 
