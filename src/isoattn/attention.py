@@ -87,14 +87,17 @@ def channel_attention(qp, kp, vp) -> ChannelAttention:
     return ChannelAttention(qp, kp, vp, wts, outputs, outputs.sum(axis=1))
 
 
-def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray):
-    """Gradients (dqp, dkp, dvp) wrt the projected stacks, each (B, C, n, d),
-    given d(loss)/d(total) of shape (B, n, d)."""
+def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray) -> np.ndarray:
+    """Gradients wrt the projected stacks as one array (3, B, C, n, d): dqp,
+    dkp and dvp in that order, given d(loss)/d(total) of shape (B, n, d)."""
     dout = dtotal[:, None]
     ds = softmax_rows_vjp(att.weights, dout @ att.vp.swapaxes(-1, -2)) \
         / math.sqrt(att.qp.shape[-1])
-    return (ds @ att.kp, ds.swapaxes(-1, -2) @ att.qp,
-            att.weights.swapaxes(-1, -2) @ dout)
+    grads = np.empty((3,) + att.qp.shape)
+    np.matmul(ds, att.kp, out=grads[0])
+    np.matmul(ds.swapaxes(-1, -2), att.qp, out=grads[1])
+    np.matmul(att.weights.swapaxes(-1, -2), dout, out=grads[2])
+    return grads
 
 
 def _channels(q, k, v, stack) -> ChannelAttention:

@@ -44,7 +44,7 @@ import numpy as np
 from .attention import (ChannelAttention, channel_attention, channel_attention_vjp,
                         equivariance_report, project)
 from .irreps import ProjectorSet
-from .numerics import Matrix, Rng, as_matrix, rand_matrix
+from .numerics import Matrix, Rng, as_matrix, rand_matrix, stack_matrices
 
 VARIANTS = ("baseline", "pre", "post")
 WEIGHT_NAMES = ("w_q", "w_k", "w_v", "w_out", "w_energy")
@@ -68,18 +68,24 @@ def loss_bce(logits, label):
         raise ValueError(f"loss_bce: expected a single logit per window, got shape {z.shape}")
     if y.shape != z.shape[:-1] or not ((y == 0) | (y == 1)).all():
         raise ValueError(f"loss_bce: expected one label of 0 or 1 per logit, got {label!r}")
-    loss, grad = _bce(z, y)
+    loss, grad = _bce_loss(z, y), _bce_grad(z, y)
     return (float(loss), grad) if z.ndim == 1 else (loss, grad)
 
 
-def _bce(z: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-    """loss_bce without its checks: logits z (..., 1), labels y of shape z.shape[:-1]."""
+# The two halves of loss_bce without its checks: logits z (..., 1), labels y
+# of shape z.shape[:-1].
+
+def _bce_loss(z: np.ndarray, y) -> np.ndarray:
+    z = z[..., 0]
+    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+
+
+def _bce_grad(z: np.ndarray, y) -> np.ndarray:
     z = z[..., 0]
     t = np.exp(-np.abs(z))
-    loss = np.maximum(z, 0.0) - z * y + np.log1p(t)
     # sigmoid(z) from exp(-|z|), which cannot overflow.
     sigmoid = np.where(z >= 0.0, 1.0, t) / (1.0 + t)
-    return loss, (sigmoid - y)[..., None]
+    return (sigmoid - y)[..., None]
 
 
 def _weight(index: int) -> property:
@@ -130,9 +136,11 @@ class WindowAttentionLayer:
         self._params = np.concatenate([w.ravel() for w in weights])
         self._weights = self._split(self._params)
         # Row c is P_c / k flattened, so energies = rows @ vec(y y^T): since P_c
-        # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2.
+        # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2. Twice the
+        # rows give d e_c / dy = 2 P_c y / k in the backward pass.
         kwin = projectors.window
         self._energy_rows = projectors.stack.reshape(len(projectors.stack), -1) / kwin
+        self._energy_grad_rows = 2.0 * self._energy_rows
 
     @classmethod
     def random(cls, projectors: ProjectorSet, feature_dim: int, n_classes: int,
@@ -170,6 +178,12 @@ class WindowAttentionLayer:
         """The five weight-shaped views of a buffer laid out like params."""
         return tuple(flat[part].reshape(shape) for part, shape in self._layout)
 
+    def _grad_views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The views of a buffer laid out like params that _backward writes:
+        w_q, w_k and w_v as one (3, d, d) block, then w_out and w_energy."""
+        d = self.feature_dim
+        return (flat[:3 * d * d].reshape(3, d, d),) + self._split(flat)[3:]
+
     def _project(self, x) -> np.ndarray:
         """The channel stack (B, C, k, d) of one window (k, d) or a stack
         (B, k, d). Projecting x before the weight maps is the same as
@@ -183,8 +197,10 @@ class WindowAttentionLayer:
                        x.reshape(-1, self.window, self.feature_dim))
 
     def _attend(self, px: np.ndarray) -> ChannelAttention:
-        w_q, w_k, w_v = self._weights[:3]
-        return channel_attention(px @ w_q, px @ w_k, px @ w_v)
+        # w_q, w_k and w_v lead params, so one matmul maps px through all three.
+        d = self.feature_dim
+        qp, kp, vp = px @ self._params[:3 * d * d].reshape(3, 1, 1, d, d)
+        return channel_attention(qp, kp, vp)
 
     # _forward and _backward hold the layer's math, on a channel stack px
     # (B, C, k, d); the public methods below validate and reshape around them.
@@ -200,26 +216,24 @@ class WindowAttentionLayer:
 
     def _backward(self, state, dlogits: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
         """Writes the five weight gradients, summed over the B windows, into
-        out (views shaped like the weights) given d(loss)/d(logits) of shape
+        out (the views of _grad_views) given d(loss)/d(logits) of shape
         (B, n_classes)."""
         px, att, pooled, energy = state
         b, _, kwin, d = px.shape
         w_out, w_energy = self._weights[3:]
-        g_q, g_k, g_v, g_out, g_energy = out
+        g_qkv, g_out, g_energy = out
         np.matmul(pooled.T, dlogits, out=g_out)
         np.matmul(energy.T, dlogits, out=g_energy)
         dpooled = dlogits @ w_out.T
         denergy = dlogits @ w_energy.T
         # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
-        # e_c = ||P_c y||^2 / k adds 2 (sum_c denergy_c P_c / k) y.
-        dy = 2.0 * (denergy @ self._energy_rows).reshape(b, kwin, kwin) @ att.total \
+        # e_c = ||P_c y||^2 / k adds (sum_c denergy_c 2 P_c / k) y.
+        dy = (denergy @ self._energy_grad_rows).reshape(b, kwin, kwin) @ att.total \
             + dpooled[:, None, :] / kwin
-        # qp = px w_q, so d w_q sums px^T dqp over windows and channels.
-        dqp, dkp, dvp = channel_attention_vjp(att, dy)
-        pxt = px.reshape(-1, d).T
-        np.matmul(pxt, dqp.reshape(-1, d), out=g_q)
-        np.matmul(pxt, dkp.reshape(-1, d), out=g_k)
-        np.matmul(pxt, dvp.reshape(-1, d), out=g_v)
+        # qp = px w_q, so d w_q sums px^T dqp over windows and channels; the
+        # same matmul gives d w_k and d w_v.
+        dqkv = channel_attention_vjp(att, dy)
+        np.matmul(px.reshape(-1, d).T, dqkv.reshape(3, -1, d), out=g_qkv)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Logits of one window (k, d), shape (n_classes,), or of a stack
@@ -255,9 +269,9 @@ class WindowAttentionLayer:
                              f"{cache['pooled'].shape[:-1] + (self.n_classes,)}")
         state = (px, cache["attention"], cache["pooled"].reshape(b, -1),
                  cache["energy"].reshape(b, -1))
-        grads = self._split(np.empty_like(self._params))
-        self._backward(state, dlogits.reshape(b, self.n_classes), grads)
-        return dict(zip(WEIGHT_NAMES, grads))
+        grad = np.empty_like(self._params)
+        self._backward(state, dlogits.reshape(b, self.n_classes), self._grad_views(grad))
+        return dict(zip(WEIGHT_NAMES, self._split(grad)))
 
     def loss_and_grads(self, x, label):
         """Loss and weight gradients of one window, or per-window losses (B,)
@@ -318,13 +332,13 @@ def _as_arrays(items) -> tuple[np.ndarray, np.ndarray]:
             f, label = item.features, item.label
         else:
             f, label = item
-        feats.append(as_matrix(f))
+        feats.append(f)
         labels.append(label)
     if not feats:
         return np.empty((0, 0, 0)), np.empty(0, dtype=np.int64)
     # Labels keep their values, so a label such as 0.5 fails the 0/1 check
     # instead of being truncated.
-    return np.stack(feats), np.array(labels)
+    return stack_matrices(feats), np.array(labels)
 
 
 def _evaluate(layer: WindowAttentionLayer, xs: np.ndarray,
@@ -336,8 +350,7 @@ def _evaluate(layer: WindowAttentionLayer, xs: np.ndarray,
     for start in range(0, len(xs), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
         logits, _ = layer.forward(xs[chunk])
-        loss, _ = _bce(logits, labels[chunk])
-        losses.append(loss)
+        losses.append(_bce_loss(logits, labels[chunk]))
         correct += int(((logits[:, 0] > 0.0) == (labels[chunk] == 1)).sum())
     return math.fsum(np.concatenate(losses)) / len(xs), correct / len(xs)
 
@@ -357,11 +370,11 @@ def _check_split(layer: WindowAttentionLayer, name: str, xs: np.ndarray,
         raise ValueError(f"train: {name} window at index {bad[0]} has a non-finite feature")
 
 
-def _diverged(epoch: int, step: int, epoch_losses: list, batch_size: int,
+def _diverged(epoch: int, step: int, losses: np.ndarray, batch_size: int,
               what: str) -> RuntimeError:
     # Names the first step of the epoch whose loss is not finite, if any,
-    # else the step that was running.
-    losses = np.concatenate(epoch_losses) if epoch_losses else np.empty(0)
+    # else the step that was running. losses holds the epoch's window losses
+    # in step order, up to the last step that ran.
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         step, what = bad[0] // batch_size + 1, f"train loss {float(losses[bad[0]])!r}"
@@ -380,9 +393,11 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     once; each step then runs the layer's internal forward and backward
     passes on its rows of that stack and updates the flat params buffer in
     place. Step s of an epoch covers windows order[(s-1) b : s b] of that
-    epoch's shuffle, with b = batch_size. With clean inputs a non-finite
-    value can only come from diverging weights: it raises RuntimeError
-    naming the epoch and step instead of training on.
+    epoch's shuffle, with b = batch_size. The steps keep their logits, and
+    the epoch's losses are computed from them once, after its last step.
+    With clean inputs a non-finite value can only come from diverging
+    weights: it raises RuntimeError naming the epoch and step instead of
+    training on.
     """
     if cfg.epochs < 1:
         raise ValueError(f"train: epochs must be >= 1, got {cfg.epochs}")
@@ -399,9 +414,11 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     train_px = layer._project(train_x)
 
     n, batch_size, params = len(train_x), cfg.batch_size, layer.params
-    # Every step writes its gradient into the same buffer, laid out like params.
+    # Every step writes its gradient into the same buffer, laid out like params,
+    # and its logits into its rows of an epoch's logits, in shuffled order.
     grad = np.empty_like(params)
-    grads = layer._split(grad)
+    grad_views = layer._grad_views(grad)
+    logits = np.empty((n, layer.n_classes))
     shuffle_rng = Rng(cfg.seed).derive(1)
     history = []
     # Diverging weights overflow long before softmax_rows rejects them, so
@@ -409,31 +426,34 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = shuffle_rng.permutation(n)
-            epoch_losses = []
-            step = 0
+            labels = train_y[order]
+            step = done = 0
             try:
                 for step, start in enumerate(range(0, n, batch_size), 1):
                     batch = order[start:start + batch_size]
-                    logits, state = layer._forward(train_px[batch])
-                    losses, dlogits = _bce(logits, train_y[batch])
-                    epoch_losses.append(losses)
-                    layer._backward(state, dlogits, grads)
+                    step_logits, state = layer._forward(train_px[batch])
+                    done = start + len(batch)
+                    logits[start:done] = step_logits
+                    layer._backward(state, _bce_grad(step_logits, labels[start:done]),
+                                    grad_views)
                     params -= cfg.learning_rate * grad / len(batch)
-                losses = np.concatenate(epoch_losses)
+                losses = _bce_loss(logits, labels)
                 if not np.isfinite(losses).all():
-                    raise _diverged(epoch, step, epoch_losses, batch_size, "train loss")
+                    raise _diverged(epoch, step, losses, batch_size, "train loss")
                 # fsum keeps the reported loss independent of the shuffle order.
                 train_loss = math.fsum(losses) / n
                 val_loss, val_acc = _evaluate(layer, val_x, val_y)
                 if not math.isfinite(val_loss):
-                    raise _diverged(epoch, step, epoch_losses, batch_size,
+                    raise _diverged(epoch, step, losses, batch_size,
                                     f"validation loss {val_loss!r}")
                 report = equivariance_report(
                     layer.window_map, layer.projectors.group, layer.feature_dim,
                     cfg.tracker_trials, Rng(cfg.seed).derive(1000 + epoch))
             except (ValueError, OverflowError) as exc:
                 # softmax_rows rejecting non-finite scores, or fsum overflowing.
-                raise _diverged(epoch, step, epoch_losses, batch_size, str(exc)) from None
+                # The losses are those of the steps that ran.
+                raise _diverged(epoch, step, _bce_loss(logits[:done], labels[:done]),
+                                batch_size, str(exc)) from None
             history.append({"epoch": epoch,
                             "train_loss": float(train_loss),
                             "val_loss": float(val_loss),

@@ -8,7 +8,7 @@ import numpy as np
 
 from .attention import channel_weights, project
 from .layer import EVAL_CHUNK
-from .numerics import as_matrix
+from .numerics import stack_matrices
 
 _ZERO_ROW_TOL = 1e-12
 
@@ -67,10 +67,6 @@ class ActivationReport:
     rows: tuple[ActivationRow, ...]
 
 
-def _window_features(w):
-    return as_matrix(w.features if hasattr(w, "features") else w)
-
-
 def activation_mapping(layer, motif_windows, background_windows) -> ActivationReport:
     """Per-channel attention mass on motif versus background windows.
 
@@ -81,16 +77,17 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     with no valid rows are excluded; channels degenerate on a whole set come
     back as None.
     """
-    motifs = [_window_features(w) for w in motif_windows]
-    backgrounds = [_window_features(w) for w in background_windows]
+    motifs = [w.features if hasattr(w, "features") else w for w in motif_windows]
+    backgrounds = [w.features if hasattr(w, "features") else w for w in background_windows]
     if not motifs or not backgrounds:
         raise ValueError("activation_mapping: both window sets must be non-empty")
     ps = layer.projectors
 
     def set_masses(windows) -> list[float | None]:
+        windows = stack_matrices(windows)
         masses, counted = [], []
         for start in range(0, len(windows), EVAL_CHUNK):
-            px = project(ps.stack, np.stack(windows[start:start + EVAL_CHUNK]))
+            px = project(ps.stack, windows[start:start + EVAL_CHUNK])
             qp, kp = px @ layer.w_q, px @ layer.w_k
             wts = channel_weights(qp, kp)
             valid_rows = np.abs(qp).max(axis=-1) > _ZERO_ROW_TOL  # (B, C, k)

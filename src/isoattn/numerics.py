@@ -23,6 +23,18 @@ def as_matrix(values) -> Matrix:
     return m
 
 
+def stack_matrices(items) -> np.ndarray:
+    """Stack equal-shape 2-D matrices into one (N, rows, cols) float64 array.
+
+    One np.stack makes the array, and as_matrix's check runs once on the
+    shape its matrices share.
+    """
+    m = np.asarray(np.stack(items), dtype=np.float64)
+    if m.ndim != 3 or 0 in m.shape[1:]:
+        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape[1:]}")
+    return m
+
+
 def frobenius_sq(m) -> float:
     """Sum of squared entries (squared Frobenius norm)."""
     m = np.asarray(m, dtype=np.float64)
@@ -44,12 +56,24 @@ def softmax_rows(m) -> np.ndarray:
     normalized matrix by matrix. Safe for entries anywhere in the finite
     float64 range; each output row is nonnegative and sums to 1. Non-finite
     input is rejected.
+
+    The work runs on a transposed copy, one column per row of the input, so
+    each max, sum and broadcast is one numpy loop across all rows rather
+    than one short loop per row. The axis-0 sum adds a row's entries left to
+    right, as numpy's own sum does for rows of fewer than 8 entries; longer
+    rows may differ from a last-axis sum in the last bit. A single row is one
+    contiguous sum, which numpy adds pairwise from 8 entries on, so a lone
+    row of 8 or more entries may differ in the last bit from the same row
+    inside a stack; a matrix of two or more rows never does.
     """
     m = _as_stack(m)
     if not np.isfinite(m).all():
         raise ValueError("softmax_rows: input contains NaN or Inf")
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    t = m.reshape(-1, m.shape[-1]).T.copy()
+    t -= t.max(axis=0)
+    np.exp(t, out=t)
+    t /= t.sum(axis=0)
+    return np.ascontiguousarray(t.T).reshape(m.shape)
 
 
 def softmax_rows_vjp(weights, grad) -> np.ndarray:

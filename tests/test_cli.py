@@ -221,7 +221,7 @@ def test_train_divergence_is_one_error_line_naming_the_step(tmp_path, capsys):
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1, err
-    assert lines[0].startswith("error: train: loss diverged at epoch 1, step "), err
+    assert lines[0] == "error: train: loss diverged at epoch 1, step 8 (train loss inf)", err
     assert not caught, [str(w.message) for w in caught]
 
 

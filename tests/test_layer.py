@@ -368,11 +368,33 @@ def test_train_rejects_bad_window_shape_and_tracker_trials():
     assert "tracker_trials" in train_rejection(ds.train, ds.val, cfg)
 
 
-def test_train_names_the_diverging_step():
+def diverged_message(learning_rate, batch_size):
     ds = small_dataset()
     lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, 1, "pre", Rng(26))
-    with pytest.raises(RuntimeError, match=r"^train: loss diverged at epoch 1, step \d+ "):
-        train(lay, ds.train, ds.val, TrainConfig(epochs=3, learning_rate=1e6, seed=4))
+    cfg = TrainConfig(epochs=3, learning_rate=learning_rate, seed=4, batch_size=batch_size)
+    with pytest.raises(RuntimeError) as caught:
+        train(lay, ds.train, ds.val, cfg)
+    return str(caught.value)
+
+
+def test_train_names_the_diverging_step():
+    # A non-finite train loss, found once the epoch's last step has run.
+    assert diverged_message(1e6, 1) == \
+        "train: loss diverged at epoch 1, step 16 (train loss nan)"
+
+
+@pytest.mark.parametrize("learning_rate, batch_size, reason", [
+    # Every earlier loss is finite: the error names the running step.
+    (1e200, 1, "step 2 (softmax_rows: input contains NaN or Inf)"),
+    (1e100, 4, "step 3 (softmax_rows: input contains NaN or Inf)"),
+    # An earlier step's loss went non-finite: the error names that step.
+    (1e30, 1, "step 9 (train loss nan)"),
+    (1e50, 4, "step 3 (train loss inf)"),
+])
+def test_train_names_the_step_when_softmax_rejects_the_scores(learning_rate, batch_size,
+                                                               reason):
+    assert diverged_message(learning_rate, batch_size) == \
+        f"train: loss diverged at epoch 1, {reason}"
 
 
 def test_train_noiseless_palindrome_desk_experiment():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from isoattn.numerics import (
     rand_matrix,
     softmax_rows,
     softmax_rows_vjp,
+    stack_matrices,
 )
 
 
@@ -147,6 +149,71 @@ def test_softmax_and_vjp_act_matrix_by_matrix_on_stacks():
     for idx in np.ndindex(2, 3):
         assert np.array_equal(w[idx], softmax_rows(z[idx]))
         assert np.array_equal(vjp[idx], softmax_rows_vjp(w[idx], g[idx]))
+
+
+def two_line_softmax(m):
+    # The row-major formula softmax_rows used before its key-major copy.
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+SHORT_ROW_STACKS = [(1, 2, 6, 6), (16, 2, 6, 6), (64, 2, 6, 6), (120, 2, 5, 5), (24, 7, 7)] \
+    + [(9, 3, 4, n) for n in range(1, 8)]
+
+
+@pytest.mark.parametrize("shape", SHORT_ROW_STACKS)
+@pytest.mark.parametrize("scale", [0.1, 3.0, 300.0])
+def test_softmax_short_rows_equal_the_two_line_formula_bit_for_bit(shape, scale):
+    # Below 8 entries numpy sums a row left to right, as the axis-0 sum does.
+    m = Rng(31).uniform(-scale, scale, shape)
+    assert np.array_equal(softmax_rows(m), two_line_softmax(m))
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 16, 17, 31, 64, 100, 120])
+@pytest.mark.parametrize("scale", [0.1, 3.0, 300.0])
+def test_softmax_long_rows_match_the_two_line_formula(n, scale):
+    # Both compute the same exponentials and differ only in the order of the
+    # row sum (pairwise against left to right), so each entry agrees to n
+    # machine epsilons of itself.
+    m = Rng(32).uniform(-scale, scale, (40, 3, n))
+    out, ref = softmax_rows(m), two_line_softmax(m)
+    assert np.all(np.abs(out - ref) <= n * np.finfo(np.float64).eps * ref)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 7, 8, 12, 40])
+def test_softmax_stack_equals_its_matrices_one_at_a_time(n):
+    m = Rng(33).uniform(-5.0, 5.0, (4, 3, n))
+    out = softmax_rows(m)
+    for idx in np.ndindex(4):
+        assert np.array_equal(out[idx], softmax_rows(m[idx]))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_softmax_stack_equals_its_rows_one_at_a_time(n):
+    m = Rng(34).uniform(-5.0, 5.0, (4, 3, n))
+    out = softmax_rows(m)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(out[idx], softmax_rows(m[idx][None])[0])
+
+
+@pytest.mark.parametrize("n", [8, 12, 40, 120])
+def test_softmax_single_long_row_equals_the_two_line_formula(n):
+    # A lone row is one contiguous sum, pairwise for 8 or more entries as in
+    # the two-line formula; inside a stack the same row is summed left to right.
+    row = Rng(35).uniform(-5.0, 5.0, (1, n))
+    assert np.array_equal(softmax_rows(row), two_line_softmax(row))
+
+
+def test_stack_matrices_stacks_once_and_keeps_the_matrix_check():
+    out = stack_matrices([[[1, 2]], np.array([[3.0, 4.0]])])
+    assert out.dtype == np.float64 and out.shape == (2, 1, 2)
+    assert np.array_equal(out, [[[1.0, 2.0]], [[3.0, 4.0]]])
+    for bad, shape in (([np.zeros(3), np.zeros(3)], "(3,)"),
+                       ([np.zeros((0, 2))], "(0, 2)"),
+                       ([np.zeros((2, 2, 2))], "(2, 2, 2)")):
+        with pytest.raises(ValueError, match=rf"^expected a non-empty 2-D matrix, got shape "
+                                             rf"{re.escape(shape)}$"):
+            stack_matrices(bad)
 
 
 def test_softmax_stack_validation():
