@@ -43,8 +43,9 @@ _MAX_SYMMETRIC = 5
 # built any other way is capped there too.
 _MAX_BUILT_ORDER = 2 * _MAX_ORDER
 _CODE_CAP = np.iinfo(np.int64).max
-# Product entries per block in _cayley_by_lookup: 128 KB of intp. Blocks
-# this small reuse freed heap memory; with 1 << 20 entries, building
+# Product entries per block in _cayley_by_lookup and verify_homomorphism:
+# 128 KB of intp in the lookup, less in the check, whose entries are narrowed.
+# Blocks this small reuse freed heap memory; with 1 << 20 entries, building
 # symmetric:5 after other work touched about 140 fresh pages per call.
 _LOOKUP_BUDGET = 1 << 14
 
@@ -325,21 +326,38 @@ class HomomorphismReport:
         return not self.violations
 
 
+def _products(src: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The composed mappings src[i][index[j]] (apply index[j] first) for every
+    row i of src and row j of index, as one (rows, len(index), degree) array
+    of src's dtype."""
+    return np.take(src, index, axis=1)
+
+
 def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
     """Check P(h1 h2) = P(h1) P(h2) for every pair, exactly.
 
-    P(h_i) P(h_j) = P(h_i o h_j), so row i of the table holds where the
-    composed mappings perm[i][perm] equal perm[cayley[i]].
+    P(h_i) P(h_j) = P(h_i o h_j), so column j of the table holds where the
+    composed mappings perm[:, perm[j]] equal perm[cayley[:, j]]. The columns
+    are checked a block at a time, at most _LOOKUP_BUDGET products per block,
+    on a copy of perm in the narrowest dtype that holds each of its entries
+    exactly. A block gathers with its own rows of perm only: np.take copies a
+    read-only index whole, so gathering with all of perm would copy it for
+    every block. Violations are listed row by row, (i, j) in increasing order.
     """
     if g.order > _MAX_BUILT_ORDER:
         raise ValueError(f"verify_homomorphism: order {g.order} exceeds the cap "
                          f"{_MAX_BUILT_ORDER}")
     perm = g.perm
-    violations = []
-    for i in range(g.order):
-        bad = (perm[i][perm] != perm[g.cayley[i]]).any(axis=1)
-        violations.extend((i, int(j)) for j in np.flatnonzero(bad))
-    return HomomorphismReport(pairs_checked=g.order * g.order, violations=tuple(violations))
+    n, k = perm.shape
+    narrow = perm.astype(np.result_type(np.min_scalar_type(perm.min()),
+                                        np.min_scalar_type(perm.max())))
+    cols = max(1, _LOOKUP_BUDGET // (n * k))
+    bad = np.empty((n, n), dtype=bool)
+    for start in range(0, n, cols):
+        block = slice(start, start + cols)
+        bad[:, block] = (_products(narrow, perm[block]) != narrow[g.cayley[:, block]]).any(axis=2)
+    violations = tuple(map(tuple, np.argwhere(bad).tolist()))
+    return HomomorphismReport(pairs_checked=n * n, violations=violations)
 
 
 def _group_lines(g: FiniteGroup) -> list[str]:

@@ -388,17 +388,21 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     Returns one history row per epoch: epoch, train_loss, val_loss, val_acc
     and equivariance_max (the layer's window map, checked against its group).
 
-    Before any weight changes, the call checks both splits (window shape,
-    finite features, labels of 0 or 1) and projects the training windows
-    once; each step then runs the layer's internal forward and backward
-    passes on its rows of that stack and updates the flat params buffer in
-    place. Step s of an epoch covers windows order[(s-1) b : s b] of that
+    Before any weight changes, the call checks that the layer has one class
+    (the loss is binary cross-entropy on one logit) and both splits (window
+    shape, finite features, labels of 0 or 1), and projects the training
+    windows once; each step then runs the layer's internal forward and
+    backward passes on its rows of that stack and updates the flat params
+    buffer in place. Step s of an epoch covers windows order[(s-1) b : s b] of that
     epoch's shuffle, with b = batch_size. The steps keep their logits, and
     the epoch's losses are computed from them once, after its last step.
     With clean inputs a non-finite value can only come from diverging
     weights: it raises RuntimeError naming the epoch and step instead of
     training on.
     """
+    if layer.n_classes != 1:
+        raise ValueError(f"train: binary cross-entropy needs n_classes == 1, "
+                         f"got {layer.n_classes}")
     if cfg.epochs < 1:
         raise ValueError(f"train: epochs must be >= 1, got {cfg.epochs}")
     if cfg.batch_size < 1:

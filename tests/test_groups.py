@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import isoattn.groups as groups_module
 from isoattn.groups import (
     FiniteGroup,
+    HomomorphismReport,
     _cayley_by_lookup,
     _row_codes,
     cyclic_group,
@@ -256,11 +257,30 @@ def brute_violations(g, table):
                  if not np.array_equal(mats[i] @ mats[j], mats[table[i, j]]))
 
 
-def test_homomorphism_catches_corrupted_cayley():
-    g = cyclic_group(3)
+def swapped_table(g):
+    # Two entries of row 1 swapped.
     bad = np.array(g.cayley)
     bad[1, 1], bad[1, 2] = bad[1, 2], bad[1, 1]
     bad.setflags(write=False)
+    return bad
+
+
+def shuffled_table(g, rows):
+    # Each of the given rows of the table shuffled.
+    bad = np.array(g.cayley)
+    rng = np.random.default_rng(3)
+    for i in rows:
+        bad[i] = rng.permutation(bad[i])
+    bad.setflags(write=False)
+    return bad
+
+
+SHUFFLED_ROWS = [(symmetric_group(4), (1, 7, 23)), (cyclic_group(48), (1, 40))]
+
+
+def test_homomorphism_catches_corrupted_cayley():
+    g = cyclic_group(3)
+    bad = swapped_table(g)
     corrupted = dataclasses.replace(g, cayley=bad)
     rep = verify_homomorphism(corrupted)
     assert not rep.ok
@@ -269,16 +289,11 @@ def test_homomorphism_catches_corrupted_cayley():
     assert rep.pairs_checked == g.order ** 2
 
 
-@pytest.mark.parametrize("g, rows", [(symmetric_group(4), (1, 7, 23)),
-                                     (cyclic_group(48), (1, 40))])
+@pytest.mark.parametrize("g, rows", SHUFFLED_ROWS)
 def test_homomorphism_violations_in_pair_order(g, rows):
     # A shuffled table breaks many pairs in several rows; the report lists
     # exactly the failing (i, j) pairs, row by row, as the per-pair check does.
-    bad = np.array(g.cayley)
-    rng = np.random.default_rng(3)
-    for i in rows:
-        bad[i] = rng.permutation(bad[i])
-    bad.setflags(write=False)
+    bad = shuffled_table(g, rows)
     rep = verify_homomorphism(dataclasses.replace(g, cayley=bad))
     brute = brute_violations(g, bad)
     assert len(brute) > len(rows) and rep.violations == brute
@@ -376,6 +391,92 @@ def test_blocked_lookup_memory_is_bounded_at_degree_1200():
     assert peak < 16e6
     ref = np.add.outer(np.arange(120), np.arange(120)) % 120
     assert np.array_equal(table, ref)
+
+
+def ref_verify_homomorphism(g):
+    # The per-row check: one composed-mapping comparison per table row.
+    perm = g.perm
+    violations = []
+    for i in range(g.order):
+        bad = (perm[i][perm] != perm[g.cayley[i]]).any(axis=1)
+        violations.extend((i, int(j)) for j in np.flatnonzero(bad))
+    return HomomorphismReport(pairs_checked=g.order * g.order, violations=tuple(violations))
+
+
+def with_entry(g, i, j, value):
+    # g with entry (i, j) of perm replaced by value.
+    perm = np.array(g.perm)
+    perm[i, j] = value
+    return dataclasses.replace(g, perm=perm)
+
+
+def with_rows_swapped(g):
+    # Rows 1 and 5 of perm swapped: they stay bijections but no longer agree
+    # with the table.
+    perm = np.array(g.perm)
+    perm[[1, 5]] = perm[[5, 1]]
+    return dataclasses.replace(g, perm=perm)
+
+
+def checked_groups():
+    """Groups that verify, groups with a corrupted table small enough for
+    brute_violations, and other broken groups: corrupted perms and a
+    corrupted degree-1200 table. The first hold each family from its
+    smallest members up to the cap (dihedral:120 has order 240) and a
+    degree-1200 group, whose narrow copy of perm needs a 2-byte dtype."""
+    wide = dataclasses.replace(cyclic_group(12), degree=1200, perm=block_shifts(1200, 12))
+    sound = LOOKUP_GROUPS + [from_descriptor(d) for d in ("dihedral:61", "shift:120:2",
+                                                          "trivial:120")] + [wide]
+    c3 = cyclic_group(3)
+    bad_tables = [dataclasses.replace(c3, cayley=swapped_table(c3))]
+    bad_tables += [dataclasses.replace(g, cayley=shuffled_table(g, rows))
+                   for g, rows in SHUFFLED_ROWS]
+    broken = [with_rows_swapped(g) for g in (dihedral_group(6), symmetric_group(4))]
+    # Entries that a one-byte copy of perm would read as the ones they
+    # replace: -1 for 255 (the copy needs a signed dtype) and 556 for 300.
+    ring = dataclasses.replace(cyclic_group(4), degree=256, perm=block_shifts(256, 4))
+    assert ring.perm[1, 191] == 255 and wide.perm[3, 0] == 300
+    broken += [with_entry(ring, 1, 191, -1), with_entry(wide, 3, 0, 556),
+               dataclasses.replace(wide, cayley=shuffled_table(wide, (0, 11)))]
+    return sound, bad_tables, broken
+
+
+@pytest.mark.parametrize("budget", [1, 50, 1000, 1 << 14, 1 << 20])
+def test_blocked_check_is_the_per_row_check(budget, monkeypatch):
+    # Budget 1 checks one table column per block; 1 << 20 checks each of
+    # these groups in one block. The reports agree field for field: the same
+    # (i, j) tuples of Python ints, in the same order.
+    monkeypatch.setattr(groups_module, "_LOOKUP_BUDGET", budget)
+    sound, bad_tables, broken = checked_groups()
+    reports = {}
+    for g in sound + bad_tables + broken:
+        reports[id(g)] = rep = verify_homomorphism(g)
+        assert rep == ref_verify_homomorphism(g), g.descriptor
+        assert all(type(x) is int for pair in rep.violations for x in pair)
+    assert all(reports[id(g)].ok for g in sound)
+    assert not any(reports[id(g)].ok for g in bad_tables + broken)
+    for g in bad_tables:
+        assert reports[id(g)].violations == brute_violations(g, g.cayley)
+
+
+def test_homomorphism_check_memory_is_bounded():
+    # dihedral:120 fits one table column of products per block: order x
+    # degree = 28,800 entries of one byte each. The check holds the narrow
+    # copy of perm (one block), the order x order map of violations (two)
+    # and a block's products, table gather and comparison (three), so its
+    # peak stays under 8 blocks; gathering with all of perm in each block
+    # (an intp copy of perm, 8 blocks by itself) or the per-row check (about
+    # 17 blocks) would exceed it.
+    g = from_descriptor("dihedral:120")
+    block = g.order * g.degree
+    tracemalloc.start()
+    try:
+        rep = verify_homomorphism(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.pairs_checked == 240 ** 2
+    assert peak < 8 * block
 
 
 def test_inverse_perm_is_the_argsort_of_perm():

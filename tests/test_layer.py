@@ -325,16 +325,25 @@ def test_train_aborts_on_divergence():
                                                        seed=0))
 
 
-def train_rejection(train_data, val_data, cfg=None):
+def train_rejection(train_data, val_data, cfg=None, n_classes=1):
     """The error train raises on bad data, checking it left the weights alone."""
-    lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, 1, "pre", Rng(25))
-    before = {name: getattr(lay, name).copy() for name in WEIGHT_NAMES}
+    lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, n_classes, "pre",
+                                      Rng(25))
+    # params holds every weight: they are views into it.
+    before = lay.params.copy()
     with pytest.raises(ValueError) as info:
         train(lay, train_data, val_data,
               cfg or TrainConfig(epochs=2, learning_rate=0.5, seed=3))
-    for name, value in before.items():
-        assert np.array_equal(getattr(lay, name), value), name
+    assert np.array_equal(lay.params, before)
     return str(info.value)
+
+
+def test_train_rejects_more_than_one_class_before_any_update():
+    # The loss reads logit column 0 only; a second class used to fail at
+    # step 1 as a diverged loss.
+    ds = small_dataset()
+    assert train_rejection(ds.train, ds.val, n_classes=2) == \
+        "train: binary cross-entropy needs n_classes == 1, got 2"
 
 
 def test_train_rejects_bad_label_before_any_update():
