@@ -7,8 +7,10 @@ or after the softmax), trains a small pooled classifier on synthetic symbol
 tasks, and ships verification tools for every algebraic identity involved.
 """
 
-from .attention import (Channel, DecompositionOutput, attention, decompose_post,
-                        decompose_pre, equivariance_error, equivariance_report)
+# Plain attention stays `isoattn.attention.attention`: re-exporting it here
+# would shadow the submodule of the same name.
+from .attention import (Channel, DecompositionOutput, decompose_post, decompose_pre,
+                        equivariance_error, equivariance_report)
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, from_descriptor,
                      from_permutations, load_group, mirror_group,
                      permutation_matrix, permute_rows, save_group, shift_group,

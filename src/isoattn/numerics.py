@@ -122,6 +122,61 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
+    def uniform_integer_rows(self, n: int, k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n, k) uniforms in [0, 1) and (n, k) integers in [0, a), drawn as
+        n rounds of uniform(0, 1, k) then integers(a, size=k).
+
+        The values and the stream position after the call, spare half-word
+        included, are those of the n rounds. They are decoded from one raw
+        block: numpy makes a uniform of one 64-bit word, (w >> 11) * 2**-53,
+        and an integer of one 32-bit half-word x by Lemire's method,
+        (x * a) >> 32. The half-words are the integer words' low then high
+        halves, after the half the bit generator may hold spare from an
+        earlier call; the high half of a row's last word, when that row
+        leaves it, is the first value of the next row. Lemire's method draws
+        again when (x * a) mod 2**32 < (2**32 - a) mod a, which never happens
+        for a power of two and otherwise has probability below a / 2**32
+        per value; if any decoded value would be redrawn, the stream is
+        restored and the rounds are drawn one by one.
+        """
+        bits = self._gen.bit_generator
+        if n * k == 0 or not 2 <= a < 2**32:
+            return self._uniform_integer_loop(n, k, a)
+        saved = bits.state
+        spare = saved["has_uint32"]
+        # Words drawn for integers up to the end of each row; row i's words
+        # start after i rows of k uniforms and the integer words before it.
+        int_words = (np.arange(1, n + 1) * k - spare + 1) // 2
+        starts = np.arange(n) * k + np.concatenate(([0], int_words[:-1]))
+        at_uniform = starts[:, None] + np.arange(k)
+        raw = bits.random_raw(n * k + int(int_words[-1]))
+        u = (raw[at_uniform] >> 11) * 2.0**-53
+        is_int = np.ones(len(raw), dtype=bool)
+        is_int[at_uniform] = False
+        words = raw[is_int]
+        halves = np.empty(spare + 2 * len(words), dtype=np.uint64)
+        halves[:spare] = saved["uinteger"]
+        halves[spare::2] = words & 0xFFFFFFFF
+        halves[spare + 1::2] = words >> 32
+        m = halves[:n * k] * np.uint64(a)
+        if ((m & 0xFFFFFFFF) < (2**32 - a) % a).any():
+            bits.state = saved
+            return self._uniform_integer_loop(n, k, a)
+        state = bits.state
+        state["has_uint32"] = len(halves) - n * k
+        if len(words):
+            state["uinteger"] = int(words[-1] >> 32)
+        bits.state = state
+        return u, (m >> 32).astype(np.int64).reshape(n, k)
+
+    def _uniform_integer_loop(self, n: int, k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        u = np.empty((n, k))
+        fresh = np.empty((n, k), dtype=np.int64)
+        for i in range(n):
+            u[i] = self.uniform(0.0, 1.0, k)
+            fresh[i] = self.integers(a, size=k)
+        return u, fresh
+
 
 def rand_matrix(rng: Rng, rows: int, cols: int, scale: float = 1.0) -> Matrix:
     """Matrix with entries drawn uniformly from [-scale, +scale]."""

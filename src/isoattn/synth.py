@@ -146,16 +146,12 @@ def _noncyclics(n: int, k: int, period: int, alphabet_size: int, rng: Rng) -> np
 def _noisy(symbols: np.ndarray, p: float, alphabet_size: int, rng: Rng) -> np.ndarray:
     """Resample each entry of an (n, k) symbol array with probability p.
 
-    Row by row, one uniform call then one integers call: the two interleave
-    in the stream, so drawing either for all rows at once would change
-    every noisy window.
+    The draws are those of perturb applied row by row: a uniform per
+    position, then k fresh symbols. Rng.uniform_integer_rows draws all rows
+    as one block, with the same values and the same stream position after.
     """
     n, k = symbols.shape
-    u = np.empty((n, k))
-    fresh = np.empty((n, k), dtype=symbols.dtype)
-    for i in range(n):
-        u[i] = rng.uniform(0.0, 1.0, k)
-        fresh[i] = rng.integers(alphabet_size, size=k)
+    u, fresh = rng.uniform_integer_rows(n, k, alphabet_size)
     return np.where(u < p, fresh, symbols)
 
 
@@ -252,8 +248,10 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     draws defines what each seed gives: all positives; then the
     rejection-sampled negatives; then, if noise_p > 0, for each window in
     turn a uniform draw per position followed by fresh symbols; then the
-    shuffle. Drawing in blocks gives the same windows as the one-window
-    generators and perturb called window by window in that order.
+    shuffle. Each phase is drawn in blocks (the noise as one raw block
+    decoded in Rng.uniform_integer_rows), which gives the same windows as
+    the one-window generators and perturb called window by window in that
+    order.
     """
     if spec.task not in ("palindrome", "cyclic"):
         raise ValueError(f"make_dataset: unknown task {spec.task!r}")
@@ -307,7 +305,11 @@ def load_windows(path: str) -> tuple[SequenceWindow, ...]:
             toks = line.split(None, 3)
             if len(toks) < 3:
                 raise ValueError(f"bad window record {line!r}")
-            text, label, alphabet_size = toks[0], int(toks[1]), int(toks[2])
+            try:
+                text, label, alphabet_size = toks[0], int(toks[1]), int(toks[2])
+            except ValueError:
+                raise ValueError(f"bad window record {line!r}: label and alphabet_size "
+                                 f"must be integers") from None
             if not 2 <= alphabet_size <= MAX_ALPHABET:
                 raise ValueError(f"bad window record {line!r}: alphabet_size must be in "
                                  f"[2, {MAX_ALPHABET}]")

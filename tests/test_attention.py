@@ -1,6 +1,7 @@
 """Scaled dot-product attention, channel decompositions, equivariance."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -259,3 +260,14 @@ def test_equivariance_error_calls_fn_once_on_two_windows():
     assert len(calls) == 1 and calls[0].shape == (2, 4, 3)
     assert np.array_equal(calls[0][0], x) and np.array_equal(calls[0][1], permute_rows(h, x))
     assert err < 1e-20
+
+
+def test_package_attribute_attention_is_the_submodule():
+    # Plain attention is not re-exported, so the package attribute is the
+    # module and patching one of its attributes reaches the module.
+    import isoattn
+    from isoattn import attention as attention_module
+
+    assert isoattn.attention is sys.modules["isoattn.attention"]
+    assert attention_module is sys.modules["isoattn.attention"]
+    assert attention_module.attention is attention

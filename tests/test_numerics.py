@@ -140,6 +140,84 @@ def test_rng_seed_validation():
         Rng(2**64)
 
 
+# ---------- uniform_integer_rows against the row loop ----------
+#
+# The reference is the loop the block draw replaced: per row, one uniform
+# call for k values, then one integers call for k values.
+
+def _ref_uniform_integer_rows(rng, n, k, a):
+    u = np.empty((n, k))
+    fresh = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        u[i] = rng.uniform(0.0, 1.0, k)
+        fresh[i] = rng.integers(a, size=k)
+    return u, fresh
+
+
+def _philox_state(rng):
+    st = rng._gen.bit_generator.state
+    return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
+            st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def _assert_same_draws_and_stream(got_rng, want_rng, n, k, a):
+    got = got_rng.uniform_integer_rows(n, k, a)
+    want = _ref_uniform_integer_rows(want_rng, n, k, a)
+    context = (n, k, a)
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype, context
+    assert got[0].tobytes() == want[0].tobytes(), context
+    assert got[1].tobytes() == want[1].tobytes(), context
+    assert _philox_state(got_rng) == _philox_state(want_rng), context
+    # The stream continues from the same place, spare half-word included.
+    assert got_rng.permutation(11).tolist() == want_rng.permutation(11).tolist(), context
+    assert got_rng.uniform(0.0, 1.0, 3).tolist() == want_rng.uniform(0.0, 1.0, 3).tolist()
+    assert got_rng.integers(a, size=3).tolist() == want_rng.integers(a, size=3).tolist()
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 26])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_uniform_integer_rows_match_the_row_loop(a, seed):
+    spares = set()
+    for k in range(1, 13):
+        for n in (1, 2, 3, 37):
+            # One small draw beforehand leaves a spare half-word, two use it up.
+            for before in (0, 1, 2):
+                got_rng, want_rng = Rng(seed).derive(k), Rng(seed).derive(k)
+                for rng in (got_rng, want_rng):
+                    for _ in range(before):
+                        rng.integers(3, size=1)
+                spares.add(_philox_state(got_rng)[4])
+                _assert_same_draws_and_stream(got_rng, want_rng, n, k, a)
+    assert spares == {0, 1}
+
+
+@pytest.mark.parametrize("a", [1, 2**31 + 1, 2**32 - 1])
+def test_uniform_integer_rows_match_the_row_loop_at_the_edges(a):
+    # a = 1 draws no integer words, nor does k = 0; near 2**32 about half
+    # the values are redrawn.
+    for k in (0, 1, 4, 7):
+        for n in (1, 5):
+            _assert_same_draws_and_stream(Rng(k).derive(n), Rng(k).derive(n), n, k, a)
+
+
+def test_uniform_integer_rows_falls_back_when_a_value_is_redrawn(monkeypatch):
+    # With a spare half-word of 0 and a = 3, the first value has leftover
+    # (0 * 3) mod 2**32 = 0, below the threshold (2**32 - 3) mod 3 = 1.
+    assert (2**32 - 3) % 3 == 1
+    got_rng, want_rng = Rng(5), Rng(5)
+    for rng in (got_rng, want_rng):
+        bits = rng._gen.bit_generator
+        st = bits.state
+        st["has_uint32"], st["uinteger"] = 1, 0
+        bits.state = st
+    loops = []
+    row_loop = Rng._uniform_integer_loop
+    monkeypatch.setattr(Rng, "_uniform_integer_loop",
+                        lambda self, *args: loops.append(args) or row_loop(self, *args))
+    _assert_same_draws_and_stream(got_rng, want_rng, 4, 3, 3)
+    assert loops == [(4, 3, 3)]
+
+
 def test_softmax_and_vjp_act_matrix_by_matrix_on_stacks():
     rng = Rng(9)
     z = np.stack([rand_matrix(rng, 3, 5, 4.0) for _ in range(6)]).reshape(2, 3, 3, 5)
