@@ -375,17 +375,20 @@ def load_group(path: str) -> FiniteGroup:
     """Rebuild a group saved by save_group: from its descriptor, or from its
     element list for a custom group. Every line of the file must then match
     what save_group writes for the rebuilt group; anything else raises
-    ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.split() for line in fh if line.strip()]
-    if not lines or lines[0][0] != "group" or len(lines[0]) != 2:
-        raise ValueError(f"group file {path!r} has no descriptor line")
-    desc = lines[0][1]
-    if desc == "custom":
-        g = from_permutations([tuple(int(t) for t in toks[1:])
-                               for toks in lines if toks[0] == "elem"])
-    else:
-        g = from_descriptor(desc)
-    if lines != [line.split() for line in _group_lines(g)]:
-        raise ValueError(f"group file {path!r} does not match descriptor {desc!r}")
+    ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.split() for line in fh if line.strip()]
+        if not lines or lines[0][0] != "group" or len(lines[0]) != 2:
+            raise ValueError("no descriptor line")
+        desc = lines[0][1]
+        if desc == "custom":
+            g = from_permutations([tuple(int(t) for t in toks[1:])
+                                   for toks in lines if toks[0] == "elem"])
+        else:
+            g = from_descriptor(desc)
+        if lines != [line.split() for line in _group_lines(g)]:
+            raise ValueError(f"does not match descriptor {desc!r}")
+    except ValueError as exc:
+        raise ValueError(f"group file {path!r}: {exc}") from None
     return g

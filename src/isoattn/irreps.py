@@ -157,18 +157,19 @@ def real_irreps(g: FiniteGroup) -> tuple[RealIrrep, ...]:
     return tuple(irreps)
 
 
-def _projector_coefficient(irrep: RealIrrep) -> float:
-    # Merged pairs use the complex dimension of one member.
-    return irrep.dim / 2.0 if irrep.pair else float(irrep.dim)
+def _projectors(g: FiniteGroup, irreps: tuple[RealIrrep, ...]) -> np.ndarray:
+    """Every irrep's projector, absent ones included, as one (irreps, k, k) array.
 
-
-def _projector(g: FiniteGroup, irrep: RealIrrep) -> Matrix:
-    # action(h) has its ones at (perm[h, j], j): add chi(h^-1) there, in h order.
+    action(h) has its ones at (perm[h, j], j): one scatter adds chi(h^-1) there,
+    in h order. Merged pairs scale by the complex dimension of one member."""
     k = g.degree
-    acc = np.zeros((k, k), dtype=np.float64)
-    chi_inv = np.asarray(irrep.characters, dtype=np.float64)[list(g.inverse)]
-    np.add.at(acc, (g.perm, np.arange(k)), chi_inv[:, None])
-    return acc * (_projector_coefficient(irrep) / g.order)
+    chi_inv = np.array([ir.characters for ir in irreps], dtype=np.float64)[:, g.inverse]
+    acc = np.zeros((len(irreps), k, k), dtype=np.float64)
+    np.add.at(acc, (np.arange(len(irreps))[:, None, None], g.perm, np.arange(k)),
+              chi_inv[:, :, None])
+    coeffs = np.array([ir.dim / 2.0 if ir.pair else float(ir.dim) for ir in irreps])
+    acc *= (coeffs / g.order)[:, None, None]
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,26 +226,24 @@ def projector_set(g: FiniteGroup) -> ProjectorSet:
     internal error. Irreps that do not occur are kept with an exactly zero
     projector and flagged absent.
     """
-    items = []
-    total_dim = 0
-    for irrep in real_irreps(g):
-        p = _projector(g, irrep)
-        m_real = float(np.trace(p)) / irrep.dim
-        m = round(m_real)
-        if abs(m_real - m) > _INTEGRALITY_TOL:
-            raise RuntimeError(
-                f"projector_set: non-integer multiplicity {m_real!r} for "
-                f"{irrep.label} of {g.descriptor}")
-        if m == 0:
-            p = np.zeros_like(p)
-        p.setflags(write=False)
-        items.append(ProjectorItem(irrep=irrep, projector=p, multiplicity=m))
-        total_dim += irrep.dim * m
+    irreps = real_irreps(g)
+    projectors = _projectors(g, irreps)
+    dims = np.array([ir.dim for ir in irreps])
+    m_real = np.trace(projectors, axis1=1, axis2=2) / dims
+    mults = np.rint(m_real)
+    off = np.flatnonzero(np.abs(m_real - mults) > _INTEGRALITY_TOL)
+    if off.size:
+        raise RuntimeError(f"projector_set: non-integer multiplicity {float(m_real[off[0]])!r} "
+                           f"for {irreps[off[0]].label} of {g.descriptor}")
+    total_dim = int(dims @ mults)
     if total_dim != g.degree:
-        raise RuntimeError(
-            f"projector_set: multiplicities of {g.descriptor} fill {total_dim} "
-            f"of {g.degree} dimensions")
-    return ProjectorSet(group=g, items=tuple(items))
+        raise RuntimeError(f"projector_set: multiplicities of {g.descriptor} fill "
+                           f"{total_dim} of {g.degree} dimensions")
+    projectors[mults == 0] = 0.0
+    projectors.setflags(write=False)
+    return ProjectorSet(group=g, items=tuple(
+        ProjectorItem(irrep=ir, projector=p, multiplicity=int(m))
+        for ir, p, m in zip(irreps, projectors, mults)))
 
 
 @dataclass(frozen=True)
@@ -304,9 +303,14 @@ def verify_projector_set(ps: ProjectorSet) -> ProjectorSetReport:
             for p in chunks for h in range(0, len(fwd), hs)]))
 
 
-def _irrep_line(item: ProjectorItem) -> str:
-    ir = item.irrep
-    return f"irrep {ir.label} dim {ir.dim} mult {item.multiplicity} pair {int(ir.pair)}"
+def _file_lines(ps: ProjectorSet):
+    """The lines of a projector file after its group line: the window line,
+    then per item its irrep line (text) and its rows (float arrays)."""
+    yield f"window {ps.window}"
+    for item in ps.items:
+        ir = item.irrep
+        yield f"irrep {ir.label} dim {ir.dim} mult {item.multiplicity} pair {int(ir.pair)}"
+        yield from item.projector
 
 
 def save_projectors(ps: ProjectorSet, path: str) -> None:
@@ -314,46 +318,35 @@ def save_projectors(ps: ProjectorSet, path: str) -> None:
     digits so a round-trip through load_projectors is bit-exact. Rows are
     written as they are formatted, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"group {ps.group.descriptor}\nwindow {ps.window}\n")
-        for item in ps.items:
-            fh.write(_irrep_line(item) + "\n")
-            fh.writelines("  " + " ".join(format(v, ".17g") for v in row) + "\n"
-                          for row in item.projector)
+        fh.write(f"group {ps.group.descriptor}\n")
+        fh.writelines((line if isinstance(line, str) else
+                       "  " + " ".join(format(v, ".17g") for v in line)) + "\n"
+                      for line in _file_lines(ps))
 
 
 def load_projectors(path: str) -> ProjectorSet:
     """Read a file written by save_projectors back as the ProjectorSet it holds.
 
-    The file's shape is checked first: a `group` and a `window` header, then
-    blocks of one `irrep` line and `window` rows of `window` numbers. The set
-    is then rebuilt from the group descriptor, and every block must match it
-    exactly: the irrep line token for token and the matrix bit for bit.
-    Anything else raises ValueError naming the file.
+    The set is rebuilt from its `group <descriptor>` line; the other lines,
+    blank ones skipped, must then be what save_projectors writes for it:
+    text lines token for token, rows equal as floats, and nothing after the
+    last row. Anything else raises ValueError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.split() for line in fh if line.strip()]
     try:
-        if [t[0] for t in lines[:2]] != ["group", "window"] or len(lines[0]) != 2 \
-                or len(lines[1]) != 2:
-            raise ValueError("expected a 'group <descriptor>' and a 'window <k>' header")
-        window = int(lines[1][1])
-        if len(lines) > 2 and lines[2][0] != "irrep":
-            raise ValueError("matrix rows before the first irrep line")
-        starts = [i for i, toks in enumerate(lines) if toks[0] == "irrep"]
-        blocks = []
-        for s, e in zip(starts, starts[1:] + [len(lines)]):
-            rows = lines[s + 1:e]
-            if len(rows) != window or any(len(r) != window for r in rows):
-                raise ValueError(f"block {' '.join(lines[s])!r} is not {window} rows "
-                                 f"of {window} numbers")
-            blocks.append((lines[s], np.array([[float(t) for t in r] for r in rows])))
-        ps = projector_set(from_descriptor(lines[0][1]))
-        if len(blocks) != len(ps.items):
-            raise ValueError(f"{ps.group.descriptor} has {len(ps.items)} irrep blocks, "
-                             f"the file {len(blocks)}")
-        for (head, m), item in zip(blocks, ps.items):
-            if head != _irrep_line(item).split() or not np.array_equal(m, item.projector):
-                raise ValueError(f"block {' '.join(head)!r} does not match {_irrep_line(item)!r}")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = ((f"line {n}", toks) for n, toks in enumerate(map(str.split, fh), 1) if toks)
+            where, toks = next(lines, ("line 1", []))
+            if len(toks) != 2 or toks[0] != "group":
+                raise ValueError(f"{where}: expected 'group <descriptor>'")
+            ps = projector_set(from_descriptor(toks[1]))
+            for want in _file_lines(ps):
+                where, toks = next(lines, ("the end of the file", []))
+                text = isinstance(want, str)
+                if (toks != want.split()) if text else (list(map(float, toks)) != want.tolist()):
+                    raise ValueError(f"{where}: expected {want if text else 'the rebuilt row'}")
+            extra = next(lines, None)
+            if extra:
+                raise ValueError(f"{extra[0]} follows the last row")
     except ValueError as exc:
         raise ValueError(f"projector file {path!r}: {exc}") from None
     return ps

@@ -23,17 +23,21 @@ MAX_ALPHABET = len(_LETTERS)
 
 
 def encode_onehot(symbols, alphabet_size: int) -> Matrix:
-    """One row per symbol, a single 1 in the symbol's column."""
-    symbols = list(symbols)
+    """One row per symbol, a single 1 in its column: (k, a) for a window of k
+    symbols, (n, k, a) for an (n, k) block. All symbols are checked first;
+    the error names the first that is not an integer in [0, a)."""
     if alphabet_size < 1:
         raise ValueError(f"encode_onehot: alphabet_size must be >= 1, got {alphabet_size}")
-    out = np.zeros((len(symbols), alphabet_size), dtype=np.float64)
-    for i, s in enumerate(symbols):
-        s = int(s)
-        if not 0 <= s < alphabet_size:
-            raise ValueError(f"encode_onehot: symbol {s} outside alphabet of size {alphabet_size}")
-        out[i, s] = 1.0
-    return out
+    s = np.asarray(symbols if isinstance(symbols, np.ndarray) else list(symbols))
+    if s.dtype.kind not in "biu":
+        s = s.astype(np.float64)
+    bad = ~((s >= 0) & (s < alphabet_size) & (s == np.floor(s)))
+    if bad.any():
+        v = s.ravel()[bad.argmax()]
+        if not (np.isfinite(v) and v == np.floor(v)):
+            raise ValueError(f"encode_onehot: symbol {v} is not an integer")
+        raise ValueError(f"encode_onehot: symbol {int(v)} outside alphabet of size {alphabet_size}")
+    return np.eye(alphabet_size)[s.astype(np.intp, copy=False)]
 
 
 @dataclass(frozen=True)
@@ -158,11 +162,10 @@ def _noisy(symbols: np.ndarray, p: float, alphabet_size: int, rng: Rng) -> np.nd
 def _windows(symbols: np.ndarray, alphabet_size: int, labels, metas) -> list[SequenceWindow]:
     """One SequenceWindow per row of an (n, k) symbol array.
 
-    The rows are one-hot encoded in one array operation, giving the same
-    bytes encode_onehot gives each row; every window holds a read-only view
-    of its (k, alphabet_size) slice.
+    The rows are one-hot encoded in one encode_onehot call; every window
+    holds a read-only view of its (k, alphabet_size) slice.
     """
-    features = np.eye(alphabet_size)[symbols]
+    features = encode_onehot(symbols, alphabet_size)
     features.setflags(write=False)
     return [SequenceWindow._encoded(tuple(row), alphabet_size, label, meta, feats)
             for row, label, meta, feats in zip(symbols.tolist(), labels, metas, features)]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -580,6 +581,29 @@ def test_load_group_rejects_a_truncated_custom_group(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines[:7]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="does not match"):
+        load_group(str(path))
+
+
+def saved_custom_s3(tmp_path):
+    path = tmp_path / "custom.grp"
+    save_group(from_permutations(list(itertools.permutations(range(3)))), str(path))
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_load_group_names_the_file_for_a_bad_element_token(tmp_path):
+    path, lines = saved_custom_s3(tmp_path)
+    assert lines[-1] == "elem 2 1 0"
+    path.write_text("\n".join(lines[:-1] + ["elem 2 x 0"]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"group file {str(path)!r}: ") + "invalid literal"):
+        load_group(str(path))
+
+
+def test_load_group_names_the_file_for_a_non_closed_element_list(tmp_path):
+    # The identity and one 3-cycle: its square is missing.
+    path, lines = saved_custom_s3(tmp_path)
+    path.write_text("\n".join(lines[:5] + ["elem 0 1 2", "elem 1 2 0"]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"group file {str(path)!r}: ") + "from_permutations: "
+                       "element list is not closed"):
         load_group(str(path))
 
 

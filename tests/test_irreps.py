@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from isoattn.groups import (
 from isoattn.irreps import (
     ProjectorSet,
     ProjectorSetReport,
-    _projector,
+    _projectors,
     load_projectors,
     projector_set,
     real_irreps,
@@ -240,8 +241,11 @@ DESCRIPTORS = ([f"cyclic:{n}" for n in range(1, 13)]
 def test_projectors_match_reference_sum_bitwise(desc):
     # Every irrep, absent ones included: projector_set zeroes those afterwards.
     g = from_descriptor(desc)
-    for irrep in real_irreps(g):
-        assert _projector(g, irrep).tobytes() == reference_projector(g, irrep).tobytes()
+    irreps = real_irreps(g)
+    raw = _projectors(g, irreps)
+    assert raw.shape == (len(irreps), g.degree, g.degree)
+    for p, irrep in zip(raw, irreps):
+        assert p.tobytes() == reference_projector(g, irrep).tobytes()
 
 
 def reference_report(ps):
@@ -414,6 +418,47 @@ def test_load_rejects_a_missing_block(tmp_path):
 def test_load_rejects_a_window_that_differs_from_the_group(tmp_path):
     lines = saved_lines(tmp_path, "mirror:2")
     assert_rejected(tmp_path, ["group mirror:3"] + lines[1:])
+    # The window line must read exactly the degree.
+    assert lines[1] == "window 2"
+    assert_rejected(tmp_path, [lines[0], "window 02"] + lines[2:])
+
+
+def test_load_rejects_any_one_line_deleted_or_duplicated(tmp_path):
+    lines = saved_lines(tmp_path, "dihedral:4")
+    assert len(lines) == 2 + 5 * 5  # group, window, then 5 irrep lines with 4 rows each
+    for i in range(len(lines)):
+        assert_rejected(tmp_path, lines[:i] + lines[i + 1:])
+        assert_rejected(tmp_path, lines[:i + 1] + lines[i:])
+
+
+def test_load_accepts_rows_respelled_with_equal_values(tmp_path):
+    lines = saved_lines(tmp_path, "dihedral:4")
+    want = projector_set(from_descriptor("dihedral:4")).stack.tobytes()
+    respelled = {"0": "0.0", "0.25": "2.5e-1", "-0.25": "-25E-2", "0.5": "0.50"}
+    rows = [line if line.startswith(("group", "window", "irrep"))
+            else "\t" + "   ".join(respelled.get(t, t) for t in line.split()) for line in lines]
+    assert rows != lines and set(respelled) <= {t for line in lines for t in line.split()}
+    path = tmp_path / "respelled.proj"
+    path.write_text("\n\n".join(rows) + "\n", encoding="utf-8")
+    assert load_projectors(str(path)).stack.tobytes() == want
+    exponents = [line if line.startswith(("group", "window", "irrep"))
+                 else " ".join(format(float(t), ".17e") for t in line.split()) for line in lines]
+    path.write_text("\n".join(exponents) + "\n", encoding="utf-8")
+    assert load_projectors(str(path)).stack.tobytes() == want
+
+
+def test_load_of_cyclic_120_peaks_below_16_mb(tmp_path):
+    # The set itself is 61 matrices of 120 x 120 doubles, about 7 MB; the
+    # file is read line by line, so its 19 MB of text is never held whole.
+    path = tmp_path / "c120.proj"
+    save_projectors(projector_set(from_descriptor("cyclic:120")), str(path))
+    tracemalloc.start()
+    try:
+        load_projectors(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_load_rejects_an_oversized_descriptor_at_once(tmp_path, monkeypatch):

@@ -43,6 +43,37 @@ def test_onehot_validation():
         text_to_symbols("AXG", 4)
 
 
+@pytest.mark.parametrize("symbols", [[1.5, 2.9], (0, 2.5), [float("nan")], [float("inf")]])
+def test_onehot_rejects_a_non_integral_symbol(symbols):
+    with pytest.raises(ValueError, match="is not an integer"):
+        encode_onehot(symbols, 4)
+
+
+def test_window_rejects_a_non_integral_symbol():
+    with pytest.raises(ValueError, match="symbol 1.5 is not an integer"):
+        SequenceWindow((1.5,), 4, 1)
+
+
+@pytest.mark.parametrize("symbols, first", [((0, 4, -1), "4"), ((0, -1, 4), "-1"),
+                                            ([[0, 1], [2, 7]], "7"), ((2, 9, 0.5), "9")])
+def test_onehot_names_the_first_bad_symbol(symbols, first):
+    with pytest.raises(ValueError, match=f"symbol {first} (outside|is not)"):
+        encode_onehot(symbols, 4)
+
+
+def test_onehot_of_a_block_is_the_onehot_of_each_row():
+    rows = Rng(5).integers(4, size=(7, 6))
+    block = encode_onehot(rows, 4)
+    assert block.shape == (7, 6, 4)
+    for row, feats in zip(rows, block):
+        want = np.zeros((6, 4))
+        want[np.arange(6), row] = 1.0
+        assert feats.tobytes() == want.tobytes() == encode_onehot(tuple(row.tolist()), 4).tobytes()
+    assert encode_onehot((), 4).tobytes() == np.zeros((0, 4)).tobytes()
+    assert encode_onehot((), 4).shape == (0, 4)
+    assert encode_onehot([1.0, 3.0], 4).tobytes() == encode_onehot((1, 3), 4).tobytes()
+
+
 def test_text_roundtrip():
     assert symbols_to_text(text_to_symbols("GATTACA", 4), 4) == "GATTACA"
     assert symbols_to_text((0, 1, 2), 26) == "ABC"
