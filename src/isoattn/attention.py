@@ -17,9 +17,11 @@ window action, with its isotypic projector P:
 Every attention in the package runs through one batched kernel: `project`
 splits a stack of windows into channels, `channel_attention` attends in all
 channels of all windows with batched matmuls, and `channel_attention_vjp`
-is its closed-form backward. The attention functions below (which take one
-window or a stack), the layer's forward and backward passes and
-`metrics.activation_mapping` all call it.
+is its closed-form backward. The kernel makes its scores key-major and
+normalises them in place with numerics.softmax_columns, in softmax_rows'
+summation order and without its transposed copy. The attention functions
+below (which take one window or a stack), the layer's forward and backward
+passes and `metrics.activation_mapping` all call it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import numpy as np
 
 from .groups import FiniteGroup, permute_rows
 from .irreps import ProjectorSet
-from .numerics import (Rng, as_matrix, frobenius_sq, rand_matrix, softmax_rows,
-                       softmax_rows_vjp)
+from .numerics import Rng, as_matrix, frobenius_sq, rand_matrix, softmax_columns, softmax_vjp
 
 
 def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,8 +59,17 @@ def project(stack, m: np.ndarray) -> np.ndarray:
 
 def channel_weights(qp: np.ndarray, kp: np.ndarray) -> np.ndarray:
     """Row-stochastic weights softmax_rows(qp kp^T / sqrt(d)), (B, C, n, n),
-    of projected query and key stacks (B, C, n, d)."""
-    return softmax_rows((qp @ kp.swapaxes(-1, -2)) / math.sqrt(qp.shape[-1]))
+    of projected query and key stacks (B, C, n, d).
+
+    The scores are written key-major, kp qp^T into an (n keys, B, C, n
+    queries) array, the layout softmax_rows makes by copying, so
+    softmax_columns normalises them in place in the same summation order.
+    """
+    b, c, n, d = qp.shape
+    scores = np.empty((n, b, c, n))
+    np.matmul(kp, qp.swapaxes(-1, -2), out=scores.transpose(1, 2, 0, 3))
+    scores /= math.sqrt(d)
+    return softmax_columns(scores.reshape(n, -1)).reshape(b, c, n, n)
 
 
 @dataclass(eq=False)
@@ -83,16 +93,16 @@ def channel_attention(qp, kp, vp) -> ChannelAttention:
         raise ValueError(f"channel_attention: expected equal (B, C, n, d) stacks, got "
                          f"{qp.shape}, {kp.shape}, {vp.shape}")
     wts = channel_weights(qp, kp)
-    outputs = wts @ vp
-    return ChannelAttention(qp, kp, vp, wts, outputs, outputs.sum(axis=1))
+    outputs = np.matmul(wts, vp)
+    return ChannelAttention(qp, kp, vp, wts, outputs, np.add.reduce(outputs, 1))
 
 
 def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray) -> np.ndarray:
     """Gradients wrt the projected stacks as one array (3, B, C, n, d): dqp,
     dkp and dvp in that order, given d(loss)/d(total) of shape (B, n, d)."""
     dout = dtotal[:, None]
-    ds = softmax_rows_vjp(att.weights, dout @ att.vp.swapaxes(-1, -2)) \
-        / math.sqrt(att.qp.shape[-1])
+    ds = softmax_vjp(att.weights, np.matmul(dout, att.vp.swapaxes(-1, -2)))
+    ds /= math.sqrt(att.qp.shape[-1])
     grads = np.empty((3,) + att.qp.shape)
     np.matmul(ds, att.kp, out=grads[0])
     np.matmul(ds.swapaxes(-1, -2), att.qp, out=grads[1])

@@ -37,6 +37,10 @@ MAX_K = groups._MAX_ORDER
 # command asks for before it allocates anything.
 MAX_N = 100_000
 MAX_DIM = 1024
+# Cap on the bytes train holds for its projected training stack, and for the
+# attention weights of its largest kernel pass (a mini-batch or an
+# evaluation chunk), checked before the dataset is made.
+MAX_TRAIN_BYTES = 256 * 2**20
 
 
 class UsageError(Exception):
@@ -168,13 +172,15 @@ def cmd_train(args) -> int:
         raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
     if not (np.isfinite(args.lr) and args.lr >= 0):
         raise UsageError(f"--lr must be finite and >= 0, got {args.lr}")
-    ds = synth.make_dataset(spec)
     if spec.task == "palindrome":
         g = groups.mirror_group(spec.k)
     else:
         period = spec.period or synth.default_period(spec.k)
         g = groups.shift_group(spec.k, period)
     ps = irreps.projector_set(g)
+    _check_train_memory(spec, len(ps.stack) if args.variant == "pre" else 1,
+                        args.batch_size)
+    ds = synth.make_dataset(spec)
     lay = layer.WindowAttentionLayer.random(ps, spec.alphabet_size, 1, args.variant,
                                             Rng(args.seed).derive(2))
     cfg = layer.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
@@ -193,6 +199,21 @@ def cmd_train(args) -> int:
     _log(f"equivariance_max {last['equivariance_max']:.3e}")
     _log(f"wrote {args.out}")
     return 0
+
+
+def _check_train_memory(spec: synth.DatasetSpec, channels: int, batch_size: int) -> None:
+    """Reject a run whose projected training stack (train windows, attending
+    channels, k, d), or whose largest kernel pass's attention weights
+    (windows, channels, k, k), would exceed MAX_TRAIN_BYTES."""
+    n_train = synth.train_size(spec.n)
+    per_pass = min(max(layer.EVAL_CHUNK, batch_size), n_train)
+    for what, shape in (("training stack", (n_train, channels, spec.k, spec.alphabet_size)),
+                        ("attention weights of one kernel pass",
+                         (per_pass, channels, spec.k, spec.k))):
+        size = 8 * int(np.prod(shape, dtype=np.int64))
+        if size > MAX_TRAIN_BYTES:
+            raise UsageError(f"the {what} {shape} would take {size / 2**20:.1f} MiB, "
+                             f"above the {MAX_TRAIN_BYTES // 2**20} MiB budget")
 
 
 # ---------- wiring ----------

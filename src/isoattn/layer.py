@@ -68,24 +68,23 @@ def loss_bce(logits, label):
         raise ValueError(f"loss_bce: expected a single logit per window, got shape {z.shape}")
     if y.shape != z.shape[:-1] or not ((y == 0) | (y == 1)).all():
         raise ValueError(f"loss_bce: expected one label of 0 or 1 per logit, got {label!r}")
-    loss, grad = _bce_loss(z, y), _bce_grad(z, y)
+    loss, grad = _bce_loss(z, y), _bce_grad(z, y[..., None])
     return (float(loss), grad) if z.ndim == 1 else (loss, grad)
 
 
-# The two halves of loss_bce without its checks: logits z (..., 1), labels y
-# of shape z.shape[:-1].
+# The two halves of loss_bce without its checks, on logits z (..., 1).
 
 def _bce_loss(z: np.ndarray, y) -> np.ndarray:
+    """Losses (...) given labels y of shape z.shape[:-1]."""
     z = z[..., 0]
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
 def _bce_grad(z: np.ndarray, y) -> np.ndarray:
-    z = z[..., 0]
-    t = np.exp(-np.abs(z))
-    # sigmoid(z) from exp(-|z|), which cannot overflow.
-    sigmoid = np.where(z >= 0.0, 1.0, t) / (1.0 + t)
-    return (sigmoid - y)[..., None]
+    """Gradients (..., 1) given labels y of z's shape."""
+    # sigmoid(z) = exp(min(z, 0)) / (1 + exp(-|z|)), which cannot overflow;
+    # for z < 0 both exponents are the same number z.
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z))) - y
 
 
 def _weight(index: int) -> property:
@@ -135,11 +134,21 @@ class WindowAttentionLayer:
                              for end, w in zip(ends, weights))
         self._params = np.concatenate([w.ravel() for w in weights])
         self._weights = self._split(self._params)
+        # Views and sizes the forward and backward passes read on every call;
+        # the window size divides as a float, which numpy takes faster than
+        # an int and rounds the same.
+        kwin = projectors.window
+        self._kwin = float(kwin)
+        # w_q, w_k and w_v side by side, (d, 3, d): reshaped to (d, 3d), one
+        # product maps a channel stack through all three.
+        self._qkv_cols = self._params[:3 * d * d].reshape(3, d, d).swapaxes(0, 1)
+        self._w_out, self._w_energy = self._weights[3:]
+        self._w_out_t, self._w_energy_t = self._w_out.T, self._w_energy.T
         # Row c is P_c / k flattened, so energies = rows @ vec(y y^T): since P_c
         # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2. Twice the
         # rows give d e_c / dy = 2 P_c y / k in the backward pass.
-        kwin = projectors.window
         self._energy_rows = projectors.stack.reshape(len(projectors.stack), -1) / kwin
+        self._energy_rows_t = self._energy_rows.T
         self._energy_grad_rows = 2.0 * self._energy_rows
 
     @classmethod
@@ -197,9 +206,11 @@ class WindowAttentionLayer:
                        x.reshape(-1, self.window, self.feature_dim))
 
     def _attend(self, px: np.ndarray) -> ChannelAttention:
-        # w_q, w_k and w_v lead params, so one matmul maps px through all three.
-        d = self.feature_dim
-        qp, kp, vp = px @ self._params[:3 * d * d].reshape(3, 1, 1, d, d)
+        # One 2-D product (B C k, d) @ (d, 3d) maps px through w_q, w_k and w_v;
+        # q, k and v are strided views of its columns.
+        b, c, kwin, d = px.shape
+        qkv = np.dot(px.reshape(-1, d), self._qkv_cols.reshape(d, 3 * d))
+        qp, kp, vp = qkv.reshape(b, c, kwin, 3, d).transpose(3, 0, 1, 2, 4)
         return channel_attention(qp, kp, vp)
 
     # _forward and _backward hold the layer's math, on a channel stack px
@@ -209,9 +220,9 @@ class WindowAttentionLayer:
         """Logits (B, n_classes) and the state _backward reads."""
         att = self._attend(px)
         y = att.total
-        pooled = y.sum(axis=1) / self.window
-        energy = (y @ y.swapaxes(1, 2)).reshape(len(y), -1) @ self._energy_rows.T
-        logits = pooled @ self._weights[3] + energy @ self._weights[4]
+        pooled = np.add.reduce(y, 1) / self._kwin
+        energy = np.dot(np.matmul(y, y.swapaxes(1, 2)).reshape(len(y), -1), self._energy_rows_t)
+        logits = np.dot(pooled, self._w_out) + np.dot(energy, self._w_energy)
         return logits, (px, att, pooled, energy)
 
     def _backward(self, state, dlogits: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
@@ -220,16 +231,15 @@ class WindowAttentionLayer:
         (B, n_classes)."""
         px, att, pooled, energy = state
         b, _, kwin, d = px.shape
-        w_out, w_energy = self._weights[3:]
         g_qkv, g_out, g_energy = out
-        np.matmul(pooled.T, dlogits, out=g_out)
-        np.matmul(energy.T, dlogits, out=g_energy)
-        dpooled = dlogits @ w_out.T
-        denergy = dlogits @ w_energy.T
+        np.dot(pooled.T, dlogits, out=g_out)
+        np.dot(energy.T, dlogits, out=g_energy)
+        dpooled = np.dot(dlogits, self._w_out_t)
+        denergy = np.dot(dlogits, self._w_energy_t)
         # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
         # e_c = ||P_c y||^2 / k adds (sum_c denergy_c 2 P_c / k) y.
-        dy = (denergy @ self._energy_grad_rows).reshape(b, kwin, kwin) @ att.total \
-            + dpooled[:, None, :] / kwin
+        dy = np.matmul(np.dot(denergy, self._energy_grad_rows).reshape(b, kwin, kwin), att.total)
+        dy += dpooled[:, None, :] / self._kwin
         # qp = px w_q, so d w_q sums px^T dqp over windows and channels; the
         # same matmul gives d w_k and d w_v.
         dqkv = channel_attention_vjp(att, dy)
@@ -390,15 +400,18 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
 
     Before any weight changes, the call checks that the layer has one class
     (the loss is binary cross-entropy on one logit) and both splits (window
-    shape, finite features, labels of 0 or 1), and projects the training
-    windows once; each step then runs the layer's internal forward and
-    backward passes on its rows of that stack and updates the flat params
-    buffer in place. Step s of an epoch covers windows order[(s-1) b : s b] of that
-    epoch's shuffle, with b = batch_size. The steps keep their logits, and
-    the epoch's losses are computed from them once, after its last step.
-    With clean inputs a non-finite value can only come from diverging
-    weights: it raises RuntimeError naming the epoch and step instead of
-    training on.
+    shape, finite features, labels of 0 or 1), projects the training windows
+    once and allocates the step's gradient and update buffers. Each step
+    then runs the layer's internal forward and backward passes on its rows
+    of that stack, writing the gradient into its buffer, and updates the
+    flat params buffer in place as params -= (lr * grad) / b, computed in
+    that order inside the update buffer. Step s of an epoch covers windows
+    order[(s-1) b : s b] of that epoch's shuffle, with b = batch_size. The
+    steps keep their logits, and the epoch's losses are computed from them
+    once, after its last step. With clean inputs a non-finite value can only
+    come from diverging weights: it raises RuntimeError naming the epoch and
+    step instead of training on; non-finite attention scores are caught by
+    the kernel's softmax check, whose message the error carries.
     """
     if layer.n_classes != 1:
         raise ValueError(f"train: binary cross-entropy needs n_classes == 1, "
@@ -417,20 +430,24 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     _check_split(layer, "validation", val_x, val_y)
     train_px = layer._project(train_x)
 
-    n, batch_size, params = len(train_x), cfg.batch_size, layer.params
+    n, batch_size, params, lr = len(train_x), cfg.batch_size, layer.params, cfg.learning_rate
     # Every step writes its gradient into the same buffer, laid out like params,
-    # and its logits into its rows of an epoch's logits, in shuffled order.
-    grad = np.empty_like(params)
+    # its update into a second one and its logits into its rows of an epoch's
+    # logits, in shuffled order.
+    grad, update = np.empty_like(params), np.empty_like(params)
     grad_views = layer._grad_views(grad)
     logits = np.empty((n, layer.n_classes))
     shuffle_rng = Rng(cfg.seed).derive(1)
     history = []
-    # Diverging weights overflow long before softmax_rows rejects them, so
-    # numpy's warnings are silenced and the error names the step instead.
+    # Diverging weights overflow long before the kernel's softmax rejects
+    # non-finite scores, so numpy's warnings are silenced and the error names
+    # the step instead.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = shuffle_rng.permutation(n)
             labels = train_y[order]
+            # Float labels, so no step casts them to subtract them from its sigmoids.
+            label_col = labels[:, None].astype(np.float64)
             step = done = 0
             try:
                 for step, start in enumerate(range(0, n, batch_size), 1):
@@ -438,9 +455,12 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
                     step_logits, state = layer._forward(train_px[batch])
                     done = start + len(batch)
                     logits[start:done] = step_logits
-                    layer._backward(state, _bce_grad(step_logits, labels[start:done]),
+                    layer._backward(state, _bce_grad(step_logits, label_col[start:done]),
                                     grad_views)
-                    params -= cfg.learning_rate * grad / len(batch)
+                    # params -= lr * grad / b, in that order, with no temporaries.
+                    np.multiply(grad, lr, out=update)
+                    update /= done - start
+                    params -= update
                 losses = _bce_loss(logits, labels)
                 if not np.isfinite(losses).all():
                     raise _diverged(epoch, step, losses, batch_size, "train loss")
@@ -454,7 +474,8 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
                     layer.window_map, layer.projectors.group, layer.feature_dim,
                     cfg.tracker_trials, Rng(cfg.seed).derive(1000 + epoch))
             except (ValueError, OverflowError) as exc:
-                # softmax_rows rejecting non-finite scores, or fsum overflowing.
+                # The kernel's softmax rejecting non-finite scores, or fsum
+                # overflowing.
                 # The losses are those of the steps that ran.
                 raise _diverged(epoch, step, _bce_loss(logits[:done], labels[:done]),
                                 batch_size, str(exc)) from None

@@ -57,23 +57,38 @@ def softmax_rows(m) -> np.ndarray:
     float64 range; each output row is nonnegative and sums to 1. Non-finite
     input is rejected.
 
-    The work runs on a transposed copy, one column per row of the input, so
-    each max, sum and broadcast is one numpy loop across all rows rather
-    than one short loop per row. The axis-0 sum adds a row's entries left to
-    right, as numpy's own sum does for rows of fewer than 8 entries; longer
-    rows may differ from a last-axis sum in the last bit. A single row is one
-    contiguous sum, which numpy adds pairwise from 8 entries on, so a lone
-    row of 8 or more entries may differ in the last bit from the same row
-    inside a stack; a matrix of two or more rows never does.
+    The work runs in softmax_columns on a transposed copy, one column per
+    row of the input, so each max, sum and division is one numpy loop across
+    all rows rather than one short loop per row. The axis-0 sum adds a row's
+    entries left to right, as numpy's own sum does for rows of fewer than 8
+    entries; longer rows may differ from a last-axis sum in the last bit. A
+    single row is one contiguous sum, which numpy adds pairwise from 8
+    entries on, so a lone row of 8 or more entries may differ in the last
+    bit from the same row inside a stack; a matrix of two or more rows never
+    does.
     """
     m = _as_stack(m)
-    if not np.isfinite(m).all():
+    return softmax_columns(m.reshape(-1, m.shape[-1]).T.copy()).reshape(m.shape)
+
+
+def softmax_columns(t: np.ndarray) -> np.ndarray:
+    """Softmax of every column of a C-contiguous key-major matrix t (keys,
+    rows), returned as the row-stochastic weights (rows, keys), a new
+    C-contiguous array. t is overwritten.
+
+    softmax_rows(m) is softmax_columns of m's rows as columns; a caller that
+    makes its scores key-major in the first place skips that copy. The max
+    subtraction, exp and column sums run in place on t, and the division
+    writes straight into the transposed layout. Non-finite input is rejected
+    with softmax_rows' error.
+    """
+    if not np.logical_and.reduce(np.isfinite(t), axis=None):
         raise ValueError("softmax_rows: input contains NaN or Inf")
-    t = m.reshape(-1, m.shape[-1]).T.copy()
-    t -= t.max(axis=0)
+    t -= np.maximum.reduce(t, 0)
     np.exp(t, out=t)
-    t /= t.sum(axis=0)
-    return np.ascontiguousarray(t.T).reshape(m.shape)
+    weights = np.empty((t.shape[1], t.shape[0]))
+    np.divide(t, np.add.reduce(t, 0), out=weights.T)
+    return weights
 
 
 def softmax_rows_vjp(weights, grad) -> np.ndarray:
@@ -86,8 +101,12 @@ def softmax_rows_vjp(weights, grad) -> np.ndarray:
     grad = _as_stack(grad)
     if weights.shape != grad.shape:
         raise ValueError(f"softmax_rows_vjp: shapes differ, {weights.shape} vs {grad.shape}")
-    dot = (grad * weights).sum(axis=-1, keepdims=True)
-    return weights * (grad - dot)
+    return softmax_vjp(weights, grad)
+
+
+def softmax_vjp(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """softmax_rows_vjp without its checks, on float64 stacks of one shape."""
+    return weights * (grad - np.add.reduce(grad * weights, -1, keepdims=True))
 
 
 class Rng:

@@ -216,6 +216,12 @@ def perturb(window: SequenceWindow, p: float, rng: Rng) -> SequenceWindow:
                     [window.label], [meta])[0]
 
 
+def train_size(n: int) -> int:
+    """Windows in the train split of an n-window dataset: 80%, rounded, and
+    at least one fewer than n."""
+    return min(int(round(0.8 * n)), n - 1)
+
+
 def default_period(k: int) -> int:
     """Largest proper divisor of k: the block length of the cyclic task."""
     for q in range(2, k + 1):
@@ -286,7 +292,7 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
     labels = [1] * n_pos + [0] * n_neg
     order = rng.permutation(spec.n)
     shuffled = _windows(rows[order], a, [labels[i] for i in order], [metas[i] for i in order])
-    cut = min(int(round(0.8 * len(shuffled))), len(shuffled) - 1)
+    cut = train_size(len(shuffled))
     return Dataset(spec=spec, train=tuple(shuffled[:cut]), val=tuple(shuffled[cut:]))
 
 

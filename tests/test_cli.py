@@ -278,6 +278,37 @@ def test_dataset_size_above_the_cap_is_a_usage_error(command, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    # shift:113:1 has 57 channels: the (80000, 57, 113, 4) stack is about 16.5 GB.
+    (["--task", "cyclic", "--k", "113", "--n", "100000"],
+     "the training stack (80000, 57, 113, 4) would take 15725.1 MiB"),
+    # A small stack, but 64-window evaluation chunks of (57, 113, 113) weights.
+    (["--task", "cyclic", "--k", "113", "--n", "400"],
+     "the attention weights of one kernel pass (64, 57, 113, 113) would take 355.4 MiB"),
+    (["--k", "120", "--n", "100000", "--variant", "baseline"],
+     "the training stack (80000, 1, 120, 4) would take 293.0 MiB"),
+    (["--k", "120", "--n", "10000", "--variant", "baseline", "--batch-size", "5000"],
+     "the attention weights of one kernel pass (5000, 1, 120, 120) would take 549.3 MiB"),
+])
+def test_train_above_the_memory_budget_is_a_usage_error(settings, message, tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr("isoattn.cli.synth.make_dataset", refuse)
+    monkeypatch.setattr("isoattn.cli.layer.WindowAttentionLayer.random", refuse)
+    out = tmp_path / "m.jsonl"
+    code, text, err = run(capsys, "train", *settings, "--out", str(out))
+    assert (code, text, err) == (2, "", f"error: {message}, above the 256 MiB budget\n")
+    assert not out.exists()
+
+
+def test_readme_train_settings_run_within_the_memory_budget(tmp_path, capsys):
+    out = tmp_path / "metrics.jsonl"
+    code, text, err = run(capsys, "train", "--task", "palindrome", "--variant", "pre",
+                          "--k", "6", "--n", "400", "--epochs", "20", "--lr", "0.05",
+                          "--out", str(out))
+    assert (code, err) == (0, "")
+    assert len(out.read_text().splitlines()) == 20
+
+
 def test_check_feature_width_above_the_cap_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr("isoattn.cli.irreps.projector_set", refuse)
     monkeypatch.setattr("isoattn.cli.rand_matrix", refuse)

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoattn.attention import (attention, decompose_post, decompose_pre, equivariance_report)
+from isoattn.attention import (attention, channel_attention, channel_attention_vjp,
+                               decompose_post, decompose_pre, equivariance_report, project)
 from isoattn.groups import from_descriptor, permute_rows
 from isoattn.irreps import ProjectorSet, projector_set
 from isoattn.layer import (
@@ -590,3 +591,61 @@ def test_layer_on_present_channels_runs_as_the_full_stack(batch_size):
                         assert_close(got, want)
             assert all(ref_rows[c].motif_mass is None for c in range(len(ref_rows))
                        if c not in present)
+
+
+# ---------- the kernel against the transposed-copy softmax, bit for bit ----------
+#
+# Rows of fewer than 8 entries sum in the same order whichever way a softmax
+# adds them, so these cases use windows of 5 to 24 rows. The reference is
+# the kernel as it stood with softmax_rows normalising a transposed copy of
+# the query-major scores, and its closed-form backward.
+
+def copy_softmax_rows(m):
+    t = m.reshape(-1, m.shape[-1]).T.copy()
+    t -= t.max(axis=0)
+    np.exp(t, out=t)
+    t /= t.sum(axis=0)
+    return np.ascontiguousarray(t.T).reshape(m.shape)
+
+
+def copy_softmax_rows_vjp(weights, grad):
+    dot = (grad * weights).sum(axis=-1, keepdims=True)
+    return weights * (grad - dot)
+
+
+def copy_kernel(qp, kp, vp, dtotal):
+    d = qp.shape[-1]
+    wts = copy_softmax_rows((qp @ kp.swapaxes(-1, -2)) / math.sqrt(d))
+    outputs = wts @ vp
+    dout = dtotal[:, None]
+    ds = copy_softmax_rows_vjp(wts, dout @ vp.swapaxes(-1, -2)) / math.sqrt(d)
+    grads = (ds @ kp, ds.swapaxes(-1, -2) @ qp, wts.swapaxes(-1, -2) @ dout)
+    return wts, outputs, outputs.sum(axis=1), grads
+
+
+WIDE_STACKS = {5: "symmetric:5", 8: None, 12: "dihedral:12", 24: "cyclic:24"}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "qkv columns"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("d", [1, 4, 8])
+@pytest.mark.parametrize("n, desc", [(n, desc) for n, desc in WIDE_STACKS.items()]
+                         + [(n, None) for n, desc in WIDE_STACKS.items() if desc])
+def test_kernel_on_wide_windows_is_the_transposed_copy_softmax_bit_for_bit(n, desc, d, batch,
+                                                                         layout):
+    stack = None if desc is None else projector_set(from_descriptor(desc)).stack
+    rng = Rng(n * 100 + d * 10 + batch)
+    x = rng.uniform(-2.0, 2.0, (batch, n, d))
+    if layout == "contiguous":
+        qp, kp, vp = (project(stack, x @ rand_matrix(rng, d, d, 1.0)) for _ in range(3))
+    else:
+        # The layer's layout: q, k and v as column blocks of one product.
+        qkv = project(stack, x).reshape(-1, d) @ rng.uniform(-1.0, 1.0, (d, 3 * d))
+        qp, kp, vp = qkv.reshape(batch, -1, n, 3, d).transpose(3, 0, 1, 2, 4)
+    dtotal = rng.uniform(-1.0, 1.0, (batch, n, d))
+    att = channel_attention(qp, kp, vp)
+    wts, outputs, total, grads = copy_kernel(qp, kp, vp, dtotal)
+    assert np.array_equal(att.weights, wts)
+    assert np.array_equal(att.outputs, outputs)
+    assert np.array_equal(att.total, total)
+    assert np.array_equal(channel_attention_vjp(att, dtotal), np.stack(grads))

@@ -41,9 +41,19 @@ def ref_project(lay, x):
     return project(lay.projectors.stack if lay.variant == "pre" else None, x)
 
 
-def ref_forward(lay, px):
+def copy_softmax_rows(m):
+    # softmax_rows as it stood before the key-major kernel: a transposed copy
+    # of the scores, normalised column by column.
+    t = m.reshape(-1, m.shape[-1]).T.copy()
+    t -= t.max(axis=0)
+    np.exp(t, out=t)
+    t /= t.sum(axis=0)
+    return np.ascontiguousarray(t.T).reshape(m.shape)
+
+
+def ref_forward(lay, px, softmax=ref_softmax_rows):
     qp, kp, vp = px @ lay.w_q, px @ lay.w_k, px @ lay.w_v
-    wts = ref_softmax_rows((qp @ kp.swapaxes(-1, -2)) / math.sqrt(qp.shape[-1]))
+    wts = softmax((qp @ kp.swapaxes(-1, -2)) / math.sqrt(qp.shape[-1]))
     y = (wts @ vp).sum(axis=1)
     kwin = lay.window
     rows = lay.projectors.stack.reshape(len(lay.projectors.stack), -1) / kwin
@@ -69,7 +79,7 @@ def ref_backward(lay, state, dlogits):
     return np.concatenate([grads[name].ravel() for name in WEIGHT_NAMES])
 
 
-def ref_train(lay, train_data, val_data, cfg):
+def ref_train(lay, train_data, val_data, cfg, softmax=ref_softmax_rows):
     train_x = np.stack([w.features for w in train_data])
     train_y = np.array([w.label for w in train_data])
     val_x = np.stack([w.features for w in val_data])
@@ -83,7 +93,7 @@ def ref_train(lay, train_data, val_data, cfg):
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            logits, state = ref_forward(lay, train_px[batch])
+            logits, state = ref_forward(lay, train_px[batch], softmax)
             losses, dlogits = ref_bce(logits, train_y[batch])
             epoch_losses.append(losses)
             params -= cfg.learning_rate * ref_backward(lay, state, dlogits) / len(batch)
@@ -91,10 +101,10 @@ def ref_train(lay, train_data, val_data, cfg):
         val_losses, correct = [], 0
         for start in range(0, len(val_x), EVAL_CHUNK):
             chunk = slice(start, start + EVAL_CHUNK)
-            logits, _ = ref_forward(lay, ref_project(lay, val_x[chunk]))
+            logits, _ = ref_forward(lay, ref_project(lay, val_x[chunk]), softmax)
             val_losses.append(ref_bce(logits, val_y[chunk])[0])
             correct += int(((logits[:, 0] > 0.0) == (val_y[chunk] == 1)).sum())
-        report = equivariance_report(lambda x: ref_forward(lay, ref_project(lay, x))[1][5],
+        report = equivariance_report(lambda x: ref_forward(lay, ref_project(lay, x), softmax)[1][5],
                                      lay.projectors.group, lay.feature_dim,
                                      cfg.tracker_trials, Rng(cfg.seed).derive(1000 + epoch))
         history.append({"epoch": epoch,
@@ -114,5 +124,22 @@ def test_train_is_the_reference_loop_bit_for_bit(variant, batch_size):
     lay, ref = (WindowAttentionLayer.random(MIRROR6, 4, 1, variant, Rng(43)) for _ in range(2))
     history = train(lay, ds.train, ds.val, cfg)
     assert history == ref_train(ref, ds.train, ds.val, cfg)
+    assert np.array_equal(lay.params, ref.params)
+    assert np.any(lay.w_energy != 0.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize("k", [9, 12])
+def test_train_on_wide_windows_is_the_transposed_copy_softmax_loop(k, variant, batch_size):
+    # Rows of 9 and 12 entries tell a left-to-right sum from numpy's pairwise
+    # last-axis sum, so the reference softmax here is the transposed-copy one
+    # train's kernel reproduces. 88 training windows: batch 16 ends ragged.
+    ds = make_dataset(DatasetSpec(task="palindrome", n=110, k=k, noise_p=0.1, seed=44))
+    ps = projector_set(from_descriptor(f"mirror:{k}"))
+    cfg = TrainConfig(epochs=3, learning_rate=0.3, seed=45, batch_size=batch_size)
+    lay, ref = (WindowAttentionLayer.random(ps, 4, 1, variant, Rng(46)) for _ in range(2))
+    history = train(lay, ds.train, ds.val, cfg)
+    assert history == ref_train(ref, ds.train, ds.val, cfg, softmax=copy_softmax_rows)
     assert np.array_equal(lay.params, ref.params)
     assert np.any(lay.w_energy != 0.0)
