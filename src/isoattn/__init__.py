@@ -22,7 +22,7 @@ from .layer import (TrainConfig, WindowAttentionLayer, finite_diff_check,
 from .metrics import accuracy, activation_mapping, f1
 from .numerics import (Matrix, Rng, frobenius_sq, rand_matrix, softmax_rows,
                        softmax_rows_vjp)
-from .synth import (Dataset, DatasetSpec, SequenceWindow, encode_onehot,
+from .synth import (Dataset, DatasetSpec, SequenceWindow, WindowSet, encode_onehot,
                     gen_cyclic, gen_noncyclic, gen_nonpalindrome, gen_palindrome,
                     load_windows, make_dataset, perturb, save_windows)
 

@@ -45,6 +45,7 @@ from .attention import (ChannelAttention, channel_attention, channel_attention_v
                         equivariance_report, project)
 from .irreps import ProjectorSet
 from .numerics import Matrix, Rng, as_matrix, rand_matrix, stack_matrices
+from .synth import WindowSet
 
 VARIANTS = ("baseline", "pre", "post")
 WEIGHT_NAMES = ("w_q", "w_k", "w_v", "w_out", "w_energy")
@@ -335,7 +336,11 @@ class TrainConfig:
 
 
 def _as_arrays(items) -> tuple[np.ndarray, np.ndarray]:
-    """Window stack (N, k, d) and labels (N,) of windows or (features, label) pairs."""
+    """Window stack (N, k, d) and labels (N,) of a WindowSet, whose own
+    read-only arrays are returned as they are, or of windows or
+    (features, label) pairs."""
+    if isinstance(items, WindowSet):
+        return items.features, items.labels
     feats, labels = [], []
     for item in items:
         if hasattr(item, "features") and hasattr(item, "label"):
@@ -401,7 +406,8 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     Before any weight changes, the call checks that the layer has one class
     (the loss is binary cross-entropy on one logit) and both splits (window
     shape, finite features, labels of 0 or 1), projects the training windows
-    once and allocates the step's gradient and update buffers. Each step
+    once and allocates the step's gradient and update buffers. A split given
+    as a WindowSet is read from its own features and labels arrays. Each step
     then runs the layer's internal forward and backward passes on its rows
     of that stack, writing the gradient into its buffer, and updates the
     flat params buffer in place as params -= (lr * grad) / b, computed in

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import hashlib
 import json
 import os
 import warnings
@@ -160,6 +161,24 @@ def test_dataset_export_is_deterministic(tmp_path, capsys):
                          "--out", str(out))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dataset_file_is_the_recorded_bytes(tmp_path, capsys):
+    out = tmp_path / "data.txt"
+    code, _, _ = run(capsys, "dataset", "--task", "palindrome", "--n", "200", "--k", "6",
+                     "--noise", "0.1", "--seed", "0", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "a4ea01f8f704b6f3422c9c867af201925e1f3cc3ec80906d332cc35b72ec7f42"
+
+
+def test_train_metrics_at_the_readme_settings_are_the_recorded_bytes(tmp_path, capsys):
+    out = tmp_path / "metrics.jsonl"
+    code, _, _ = run(capsys, "train", "--task", "palindrome", "--variant", "pre", "--k", "6",
+                     "--n", "400", "--epochs", "20", "--lr", "0.05", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "e8510929dfdda979a96706d808ec5b9fae501db72d802b1fe69e3a02a51ddf3f"
 
 
 def test_train_metrics_file_is_deterministic(tmp_path, capsys):

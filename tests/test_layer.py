@@ -299,6 +299,20 @@ def test_train_deterministic_histories():
     assert json.dumps(hist[0]) == json.dumps(hist[1])
 
 
+@pytest.mark.parametrize("variant", ["pre", "baseline"])
+@pytest.mark.parametrize("batch_size", [1, 16])
+def test_train_on_window_sets_is_train_on_pairs(variant, batch_size):
+    # 72 training windows, so batch 16 ends on a ragged step of 8.
+    ds = make_dataset(DatasetSpec(task="palindrome", n=90, k=6, noise_p=0.1, seed=25))
+    pairs = [[(w.features, w.label) for w in split] for split in (ds.train, ds.val)]
+    cfg = TrainConfig(epochs=2, learning_rate=0.3, seed=26, batch_size=batch_size)
+    runs = []
+    for train_data, val_data in ((ds.train, ds.val), pairs):
+        lay = small_layer(variant, seed=27)
+        runs.append((json.dumps(train(lay, train_data, val_data, cfg)), lay.params.tobytes()))
+    assert runs[0] == runs[1]
+
+
 def test_train_history_fields_and_tracker():
     ds = small_dataset()
     lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, 1,

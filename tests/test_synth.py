@@ -1,17 +1,19 @@
 """Synthetic window generators, encoding and dataset assembly."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from isoattn import synth
+from isoattn import layer, synth
 from isoattn.groups import permutation_matrix
 from isoattn.numerics import Rng
 from isoattn.synth import (
     Dataset,
     DatasetSpec,
     SequenceWindow,
+    WindowSet,
     default_period,
     encode_onehot,
     gen_cyclic,
@@ -286,12 +288,121 @@ def test_load_names_the_record_with_a_non_integer_field(tmp_path, record, field)
         load_windows(str(path))
 
 
+def test_load_names_the_file_and_line_of_a_bad_symbol(tmp_path):
+    path = tmp_path / "windows.txt"
+    path.write_text("AAAA 1 4 palindrome\n\nAXGT 1 4 palindrome\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_windows(str(path))
+    assert str(info.value) == (f"window file {str(path)!r}: line 3: bad window record "
+                               f"'AXGT 1 4 palindrome': symbol 'X' is not in the alphabet 'ACGT'")
+
+
+def test_load_names_the_file_and_line_of_every_bad_record(tmp_path):
+    path = tmp_path / "windows.txt"
+    for record in ("AAAA 1", "AAAA x 4 palindrome", "AAAA 1 27 palindrome"):
+        path.write_text(f"AAAA 1 4 palindrome\n{record}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^window file {re.escape(repr(str(path)))}: "
+                                             f"line 2: bad window record '{record}'"):
+            load_windows(str(path))
+
+
+# ---------- WindowSet ----------
+
+def _window_set():
+    return make_dataset(DatasetSpec("cyclic", n=30, k=6, noise_p=0.2, seed=8)).train
+
+
+def _assert_window_fields(window, ws, i):
+    assert type(window) is SequenceWindow
+    assert type(window.symbols) is tuple and all(type(s) is int for s in window.symbols)
+    assert window.symbols == tuple(ws.symbols[i].tolist())
+    assert type(window.label) is int and window.label == ws.labels[i]
+    assert type(window.meta) is str and window.meta == ws.metas[i]
+    assert window.alphabet_size == ws.alphabet_size
+    assert not window.features.flags.writeable
+    assert np.shares_memory(window.features, ws.features)
+    assert window.features.tobytes() == ws.features[i].tobytes()
+    assert window == SequenceWindow(window.symbols, ws.alphabet_size, window.label, window.meta)
+
+
+def test_window_set_length_and_arrays():
+    ws = _window_set()
+    assert len(ws) == 24 == len(ws.symbols) == len(ws.labels) == len(ws.metas)
+    assert ws.symbols.shape == (24, 6) and ws.symbols.dtype == np.int64
+    assert ws.features.shape == (24, 6, 4) and ws.features.dtype == np.float64
+    assert ws.features.tobytes() == encode_onehot(ws.symbols, 4).tobytes()
+    assert len(WindowSet(np.empty((0, 3)), 4, [], [])) == 0
+
+
+def test_window_set_indexing_and_iteration_give_the_same_windows():
+    ws = _window_set()
+    windows = list(ws)
+    assert len(windows) == len(ws)
+    for i, window in enumerate(windows):
+        _assert_window_fields(window, ws, i)
+        _assert_window_fields(ws[i], ws, i)
+        assert ws[i] == window
+        assert ws[np.int64(i)] == window
+    assert ws[-1] == windows[-1]
+    with pytest.raises(IndexError):
+        ws[len(ws)]
+    with pytest.raises(TypeError):
+        ws[1.0]
+
+
+def test_window_set_slice_is_a_window_set_of_views():
+    ws = _window_set()
+    for part, rows in ((ws[3:10], range(3, 10)), (ws[::-2], range(23, -1, -2)), (ws[5:5], ())):
+        assert isinstance(part, WindowSet) and len(part) == len(rows)
+        assert part.alphabet_size == ws.alphabet_size
+        for name in ("symbols", "labels", "metas", "features"):
+            if len(rows):
+                assert np.shares_memory(getattr(part, name), getattr(ws, name))
+        assert list(part) == [ws[i] for i in rows]
+
+
+def test_window_set_is_read_only():
+    ws = _window_set()
+    for name in ("symbols", "labels", "metas", "features"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ws, name)[0] = 0
+        with pytest.raises(AttributeError):
+            setattr(ws, name, getattr(ws, name).copy())
+    with pytest.raises(ValueError, match="read-only"):
+        ws[0].features[0, 0] = 2.0
+    # The arrays the set was made from are copied, not frozen or shared.
+    symbols, labels = np.zeros((2, 3), dtype=np.int64), np.array([1, 0])
+    made = WindowSet(symbols, 4, labels, ["a", "b"])
+    symbols[0, 0] = labels[0] = 3
+    assert made.symbols[0, 0] == 0 and made.labels[0] == 1
+
+
+def test_window_set_checks_its_inputs():
+    with pytest.raises(ValueError, match="symbol 4 outside alphabet"):
+        WindowSet([[0, 4]], 4, [1], ["x"])
+    with pytest.raises(ValueError, match="is not an integer"):
+        WindowSet([[0, 1.5]], 4, [1], ["x"])
+    for symbols, labels, metas in (([0, 1], [1], ["x"]), ([[0, 1]], [1, 0], ["x"]),
+                                   ([[0, 1]], [1], ["x", "y"])):
+        with pytest.raises(ValueError, match="WindowSet: expected"):
+            WindowSet(symbols, 4, labels, metas)
+
+
+def test_as_arrays_takes_a_window_set_as_it_is():
+    ws = _window_set()
+    feats, labels = layer._as_arrays(ws)
+    assert feats is ws.features and labels is ws.labels
+    want = layer._as_arrays(list(ws))
+    assert feats.tobytes() == want[0].tobytes() and feats.shape == want[0].shape
+    assert labels.tobytes() == want[1].tobytes() and labels.dtype == want[1].dtype
+
+
 def test_make_dataset_golden_digest():
     # Recorded before the noise phase was drawn as one raw block. The
     # reference below draws from the same numpy stream, so it cannot see a
     # change of that stream; this digest can.
     ds = make_dataset(DatasetSpec("palindrome", n=2500, k=6, noise_p=0.1, seed=3))
-    windows = ds.train + ds.val
+    windows = list(ds.train) + list(ds.val)
     digest = hashlib.sha256()
     digest.update(np.array([w.symbols for w in windows], dtype=np.int64).tobytes())
     digest.update(np.array([w.label for w in windows], dtype=np.int64).tobytes())
