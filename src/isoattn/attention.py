@@ -22,6 +22,15 @@ normalises them in place with numerics.softmax_columns, in softmax_rows'
 summation order and without its transposed copy. The attention functions
 below (which take one window or a stack), the layer's forward and backward
 passes and `metrics.activation_mapping` all call it.
+
+The kernel writes into a workspace, a `ChannelAttention`: every array of
+one pass over stacks of one shape (B, C, n, d), from the scores to the
+gradients, each written with out= and in-place ufuncs in the order of
+operations of the plain formulas. A call without a workspace makes a fresh
+one and returns it, so nothing a public function returns is overwritten by
+a later call. A caller that runs many passes of one shape, as the layer's
+training loop does, hands the workspace of its first call back to the
+kernel and allocates nothing more.
 """
 
 from __future__ import annotations
@@ -52,62 +61,110 @@ def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # channel (plain attention) and skips the projection. Attention then runs in
 # every channel of every window at once.
 
-def project(stack, m: np.ndarray) -> np.ndarray:
-    """(B, C, n, d) channel copies P_c m of a window stack m (B, n, d)."""
-    return m[:, None] if stack is None else stack @ m[:, None]
+def project(stack, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(B, C, n, d) channel copies P_c m of a window stack m (B, n, d),
+    written into out when it is given; with no stack, a view of m."""
+    return m[:, None] if stack is None else np.matmul(stack, m[:, None], out=out)
 
 
-def channel_weights(qp: np.ndarray, kp: np.ndarray) -> np.ndarray:
-    """Row-stochastic weights softmax_rows(qp kp^T / sqrt(d)), (B, C, n, n),
-    of projected query and key stacks (B, C, n, d).
-
-    The scores are written key-major, kp qp^T into an (n keys, B, C, n
-    queries) array, the layout softmax_rows makes by copying, so
-    softmax_columns normalises them in place in the same summation order.
-    """
-    b, c, n, d = qp.shape
-    scores = np.empty((n, b, c, n))
-    np.matmul(kp, qp.swapaxes(-1, -2), out=scores.transpose(1, 2, 0, 3))
-    scores /= math.sqrt(d)
-    return softmax_columns(scores.reshape(n, -1)).reshape(b, c, n, n)
-
-
-@dataclass(eq=False)
 class ChannelAttention:
-    """Forward state of channel attention over a stack of windows."""
+    """Workspace and state of channel attention on projected stacks qp, kp
+    and vp of one shape (B, C, n, d).
 
-    qp: np.ndarray       # (B, C, n, d) projected queries
-    kp: np.ndarray       # (B, C, n, d) projected keys
-    vp: np.ndarray       # (B, C, n, d) projected values
-    weights: np.ndarray  # (B, C, n, n) row-stochastic weights
-    outputs: np.ndarray  # (B, C, n, d) channel outputs weights @ vp
-    total: np.ndarray    # (B, n, d) channel sum
+    It holds every array the kernel writes: the key-major scores (n, B C n),
+    their finiteness mask, one (B C n,) buffer for the softmax column max and
+    then the column sums, the row-stochastic weights (B, C, n, n), the
+    channel outputs weights @ vp (B, C, n, d) and their channel sum total
+    (B, n, d). channel_attention_vjp adds, on its first call through the
+    workspace, the softmax-vjp product (B, C, n, n), its row sums and the
+    gradients (3, B, C, n, d). A later call through the same workspace
+    overwrites them all.
+    """
+
+    def __init__(self, qp, kp, vp):
+        b, c, n, d = qp.shape
+        self.qp, self.kp, self.vp = qp, kp, vp
+        self.scale = math.sqrt(d)
+        self.scores = np.empty((n, b * c * n))
+        self.finite = np.empty(self.scores.shape, dtype=bool)
+        self.columns = np.empty(b * c * n)
+        self.weights = np.empty((b, c, n, n))
+        self.outputs = np.empty(qp.shape)
+        self.total = np.empty((b, n, d))
+        # Views the products write or read: kp qp^T lands key-major, as
+        # (B, C, n keys, n queries) axes of the scores.
+        self._qp_t = qp.swapaxes(-1, -2)
+        self._scores_kq = self.scores.reshape(n, b, c, n).transpose(1, 2, 0, 3)
+        self._weights_rows = self.weights.reshape(-1, n)
+        self.grads = None
+
+    def _make_backward(self) -> None:
+        # The arrays and views channel_attention_vjp writes or reads.
+        self.dscores = np.empty(self.weights.shape)
+        self.product = np.empty(self.weights.shape)
+        self.row_sums = np.empty(self.weights.shape[:-1] + (1,))
+        self.grads = np.empty((3,) + self.qp.shape)
+        self._vp_t = self.vp.swapaxes(-1, -2)
+        self._weights_t = self.weights.swapaxes(-1, -2)
+        self._dscores_t = self.dscores.swapaxes(-1, -2)
+        self._dqp, self._dkp, self._dvp = self.grads
 
 
-def channel_attention(qp, kp, vp) -> ChannelAttention:
+def _softmax_weights(att: ChannelAttention) -> None:
+    # The scores are written key-major, kp qp^T into an (n keys, B, C, n
+    # queries) array, the layout softmax_rows makes by copying, so
+    # softmax_columns normalises them in place in the same summation order,
+    # into att.weights.
+    np.matmul(att.kp, att._qp_t, out=att._scores_kq)
+    att.scores /= att.scale
+    softmax_columns(att.scores, att._weights_rows, att.finite, att.columns)
+
+
+def channel_weights(qp, kp) -> np.ndarray:
+    """Row-stochastic weights softmax_rows(qp kp^T / sqrt(d)), (B, C, n, n),
+    of projected query and key stacks (B, C, n, d)."""
+    att = ChannelAttention(qp, kp, kp)  # vp is not read
+    _softmax_weights(att)
+    return att.weights
+
+
+def channel_attention(qp, kp, vp, out: ChannelAttention | None = None) -> ChannelAttention:
     """Attention inside each channel of every window, summed over channels.
 
-    qp, kp and vp are projected (B, C, n, d) stacks, as made by project.
+    qp, kp and vp are projected (B, C, n, d) stacks, as made by project. The
+    result is out, a ChannelAttention made by an earlier call on these same
+    three arrays, with its arrays overwritten, or a fresh one when out is
+    None.
     """
-    if qp.ndim != 4 or not (qp.shape == kp.shape == vp.shape):
-        raise ValueError(f"channel_attention: expected equal (B, C, n, d) stacks, got "
-                         f"{qp.shape}, {kp.shape}, {vp.shape}")
-    wts = channel_weights(qp, kp)
-    outputs = np.matmul(wts, vp)
-    return ChannelAttention(qp, kp, vp, wts, outputs, np.add.reduce(outputs, 1))
+    if out is None:
+        if qp.ndim != 4 or not (qp.shape == kp.shape == vp.shape):
+            raise ValueError(f"channel_attention: expected equal (B, C, n, d) stacks, got "
+                             f"{qp.shape}, {kp.shape}, {vp.shape}")
+        out = ChannelAttention(qp, kp, vp)
+    elif not (out.qp is qp and out.kp is kp and out.vp is vp):
+        raise ValueError("channel_attention: out was made for other q/k/v stacks")
+    _softmax_weights(out)
+    np.matmul(out.weights, vp, out=out.outputs)
+    np.add.reduce(out.outputs, 1, out=out.total)
+    return out
 
 
 def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray) -> np.ndarray:
     """Gradients wrt the projected stacks as one array (3, B, C, n, d): dqp,
-    dkp and dvp in that order, given d(loss)/d(total) of shape (B, n, d)."""
+    dkp and dvp in that order, given d(loss)/d(total) of shape (B, n, d).
+
+    The array is att.grads, which the next vjp through att overwrites.
+    """
+    if att.grads is None:
+        att._make_backward()
     dout = dtotal[:, None]
-    ds = softmax_vjp(att.weights, np.matmul(dout, att.vp.swapaxes(-1, -2)))
-    ds /= math.sqrt(att.qp.shape[-1])
-    grads = np.empty((3,) + att.qp.shape)
-    np.matmul(ds, att.kp, out=grads[0])
-    np.matmul(ds.swapaxes(-1, -2), att.qp, out=grads[1])
-    np.matmul(att.weights.swapaxes(-1, -2), dout, out=grads[2])
-    return grads
+    ds = np.matmul(dout, att._vp_t, out=att.dscores)
+    softmax_vjp(att.weights, ds, ds, att.product, att.row_sums)
+    ds /= att.scale
+    np.matmul(ds, att.kp, out=att._dqp)
+    np.matmul(att._dscores_t, att.qp, out=att._dkp)
+    np.matmul(att._weights_t, dout, out=att._dvp)
+    return att.grads
 
 
 def _channels(q, k, v, stack) -> ChannelAttention:

@@ -81,11 +81,21 @@ def _bce_loss(z: np.ndarray, y) -> np.ndarray:
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
-def _bce_grad(z: np.ndarray, y) -> np.ndarray:
-    """Gradients (..., 1) given labels y of z's shape."""
+def _bce_grad(z: np.ndarray, y, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+    """Gradients (..., 1) given labels y of z's shape, written into out with
+    tmp as scratch, both of z's shape; each is made when it is None."""
     # sigmoid(z) = exp(min(z, 0)) / (1 + exp(-|z|)), which cannot overflow;
     # for z < 0 both exponents are the same number z.
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z))) - y
+    out = np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    tmp = np.abs(z, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    tmp += 1.0
+    out /= tmp
+    out -= y
+    return out
 
 
 def _weight(index: int) -> property:
@@ -144,7 +154,9 @@ class WindowAttentionLayer:
         # product maps a channel stack through all three.
         self._qkv_cols = self._params[:3 * d * d].reshape(3, d, d).swapaxes(0, 1)
         self._w_out, self._w_energy = self._weights[3:]
-        self._w_out_t, self._w_energy_t = self._w_out.T, self._w_energy.T
+        # w_out and w_energy stacked, (d + C, n_classes), are the end of
+        # params; transposed, one product gives d pooled and d energy.
+        self._readout_t = self._params[3 * d * d:].reshape(d + len(projectors.stack), -1).T
         # Row c is P_c / k flattened, so energies = rows @ vec(y y^T): since P_c
         # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2. Twice the
         # rows give d e_c / dy = 2 P_c y / k in the backward pass.
@@ -194,57 +206,74 @@ class WindowAttentionLayer:
         d = self.feature_dim
         return (flat[:3 * d * d].reshape(3, d, d),) + self._split(flat)[3:]
 
-    def _project(self, x) -> np.ndarray:
-        """The channel stack (B, C, k, d) of one window (k, d) or a stack
-        (B, k, d). Projecting x before the weight maps is the same as
-        projecting q, k and v: P_c (x w) = (P_c x) w."""
+    def _windows(self, x) -> np.ndarray:
+        """One window (k, d) or a stack (B, k, d), checked, as a float64
+        stack (B, k, d)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-2:] != (self.window, self.feature_dim) or x.ndim not in (2, 3) \
                 or x.shape[0] < 1:
             raise ValueError(f"forward: expected {self.window}x{self.feature_dim} windows, "
                              f"got shape {x.shape}")
-        return project(self.projectors.stack if self.variant == "pre" else None,
-                       x.reshape(-1, self.window, self.feature_dim))
+        return x.reshape(-1, self.window, self.feature_dim)
 
-    def _attend(self, px: np.ndarray) -> ChannelAttention:
-        # One 2-D product (B C k, d) @ (d, 3d) maps px through w_q, w_k and w_v;
-        # q, k and v are strided views of its columns.
-        b, c, kwin, d = px.shape
-        qkv = np.dot(px.reshape(-1, d), self._qkv_cols.reshape(d, 3 * d))
-        qp, kp, vp = qkv.reshape(b, c, kwin, 3, d).transpose(3, 0, 1, 2, 4)
-        return channel_attention(qp, kp, vp)
+    def _project(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The channel stack (B, C, k, d) of a window stack xs (B, k, d).
+        Projecting x before the weight maps is the same as projecting q, k
+        and v: P_c (x w) = (P_c x) w. The pre variant writes it into out
+        when given; the others return a view of xs."""
+        return project(self.projectors.stack if self.variant == "pre" else None, xs, out)
+
+    def _attend(self, px: np.ndarray, ws: "_Pass") -> ChannelAttention:
+        # One 2-D product (B C k, d) @ (d, 3d) maps px through w_q, w_k and w_v
+        # into ws's q/k/v block; q, k and v are strided views of its columns.
+        np.copyto(ws.w_qkv_cols, self._qkv_cols)
+        np.dot(px.reshape(-1, ws.w_qkv.shape[0]), ws.w_qkv, out=ws.qkv)
+        ws.px = px
+        # The first pass through ws makes the kernel's workspace with the
+        # plain three-stack call; later passes hand it back.
+        if ws.att is None:
+            ws.att = channel_attention(ws.qp, ws.kp, ws.vp)
+        else:
+            channel_attention(ws.qp, ws.kp, ws.vp, out=ws.att)
+        return ws.att
 
     # _forward and _backward hold the layer's math, on a channel stack px
-    # (B, C, k, d); the public methods below validate and reshape around them.
+    # (B, C, k, d) and a _Pass of its shape; the public methods below
+    # validate and reshape around them.
 
-    def _forward(self, px: np.ndarray):
-        """Logits (B, n_classes) and the state _backward reads."""
-        att = self._attend(px)
-        y = att.total
-        pooled = np.add.reduce(y, 1) / self._kwin
-        energy = np.dot(np.matmul(y, y.swapaxes(1, 2)).reshape(len(y), -1), self._energy_rows_t)
-        logits = np.dot(pooled, self._w_out) + np.dot(energy, self._w_energy)
-        return logits, (px, att, pooled, energy)
+    def _forward(self, px: np.ndarray, ws: "_Pass") -> np.ndarray:
+        """Logits (B, n_classes), ws.logits; ws keeps the state _backward reads."""
+        y = self._attend(px, ws).total
+        np.add.reduce(y, 1, out=ws.pooled)
+        ws.pooled /= self._kwin
+        np.matmul(y, y.swapaxes(1, 2), out=ws.yy)
+        np.dot(ws.yy_rows, self._energy_rows_t, out=ws.energy)
+        np.dot(ws.pooled, self._w_out, out=ws.logits)
+        np.dot(ws.energy, self._w_energy, out=ws.scratch)
+        ws.logits += ws.scratch
+        return ws.logits
 
-    def _backward(self, state, dlogits: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
+    def _backward(self, ws: "_Pass", dlogits: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
         """Writes the five weight gradients, summed over the B windows, into
         out (the views of _grad_views) given d(loss)/d(logits) of shape
         (B, n_classes)."""
-        px, att, pooled, energy = state
-        b, _, kwin, d = px.shape
+        if ws.dy is None:
+            ws.make_backward()
         g_qkv, g_out, g_energy = out
-        np.dot(pooled.T, dlogits, out=g_out)
-        np.dot(energy.T, dlogits, out=g_energy)
-        dpooled = np.dot(dlogits, self._w_out_t)
-        denergy = np.dot(dlogits, self._w_energy_t)
+        np.dot(ws.pooled.T, dlogits, out=g_out)
+        np.dot(ws.energy.T, dlogits, out=g_energy)
+        np.dot(dlogits, self._readout_t, out=ws.dreadout)
         # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
         # e_c = ||P_c y||^2 / k adds (sum_c denergy_c 2 P_c / k) y.
-        dy = np.matmul(np.dot(denergy, self._energy_grad_rows).reshape(b, kwin, kwin), att.total)
-        dy += dpooled[:, None, :] / self._kwin
+        np.dot(ws.denergy, self._energy_grad_rows, out=ws.dyy_rows)
+        np.matmul(ws.dyy, ws.att.total, out=ws.dy)
+        ws.dpooled /= self._kwin
+        ws.dy += ws.dpooled_rows
         # qp = px w_q, so d w_q sums px^T dqp over windows and channels; the
         # same matmul gives d w_k and d w_v.
-        dqkv = channel_attention_vjp(att, dy)
-        np.matmul(px.reshape(-1, d).T, dqkv.reshape(3, -1, d), out=g_qkv)
+        d = g_qkv.shape[-1]
+        dqkv = channel_attention_vjp(ws.att, ws.dy)
+        np.matmul(ws.px.reshape(-1, d).T, dqkv.reshape(3, -1, d), out=g_qkv)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Logits of one window (k, d), shape (n_classes,), or of a stack
@@ -252,36 +281,42 @@ class WindowAttentionLayer:
         energy carry the same leading window axis as the input; energy has
         one entry per channel. The channel axis of px and attention counts
         the attending channels: one for baseline and post, every channel for
-        pre."""
-        px = self._project(x)
-        logits, (_, att, pooled, energy) = self._forward(px)
-        y = att.total
+        pre.
+
+        Each call writes into a workspace of its own, which the cache holds,
+        so a later call leaves the returned arrays as they are."""
+        xs = self._windows(x)
+        ws = _Pass(self, len(xs))
+        px = self._project(xs, ws.px_buffer)
+        logits = self._forward(px, ws)
+        att = ws.att
+        y, pooled, energy = att.total, ws.pooled, ws.energy
         if np.ndim(x) == 2:
             logits, y, pooled, energy = logits[0], y[0], pooled[0], energy[0]
         cache = {"layer": self, "px": px, "attention": att, "y": y, "pooled": pooled,
-                 "energy": energy}
+                 "energy": energy, "workspace": ws}
         return logits, cache
 
     def window_map(self, x) -> Matrix:
         """The pre-pooling window-to-window map; equivariant for all variants."""
-        return self._attend(self._project(x)).total.reshape(np.shape(x))
+        xs = self._windows(x)
+        ws = _Pass(self, len(xs))
+        return self._attend(self._project(xs, ws.px_buffer), ws).total.reshape(np.shape(x))
 
     def backward(self, cache: dict, dlogits) -> dict[str, Matrix]:
         """Gradients of the five weight matrices given d(loss)/d(logits),
         summed over the windows of the cache. They are views into one flat
-        gradient laid out like params."""
+        gradient laid out like params. The backward arrays of the cache's
+        workspace are overwritten; its forward state is not."""
         if cache.get("layer") is not self:
             raise ValueError("backward: cache does not belong to this layer")
-        px = cache["px"]
-        b = len(px)
+        ws = cache["workspace"]
         dlogits = np.asarray(dlogits, dtype=np.float64)
-        if dlogits.size != b * self.n_classes:
+        if dlogits.size != ws.b * self.n_classes:
             raise ValueError(f"backward: dlogits must have shape "
                              f"{cache['pooled'].shape[:-1] + (self.n_classes,)}")
-        state = (px, cache["attention"], cache["pooled"].reshape(b, -1),
-                 cache["energy"].reshape(b, -1))
         grad = np.empty_like(self._params)
-        self._backward(state, dlogits.reshape(b, self.n_classes), self._grad_views(grad))
+        self._backward(ws, dlogits.reshape(ws.b, self.n_classes), self._grad_views(grad))
         return dict(zip(WEIGHT_NAMES, self._split(grad)))
 
     def loss_and_grads(self, x, label):
@@ -290,6 +325,49 @@ class WindowAttentionLayer:
         logits, cache = self.forward(x)
         loss, dlogits = loss_bce(logits, label)
         return loss, self.backward(cache, dlogits)
+
+
+class _Pass:
+    """Workspace of one forward and backward pass of a layer over B windows.
+
+    It holds every array the forward pass writes: for the pre variant, and
+    for train, which gathers its windows there, a (B, C, k, d) buffer of
+    projected windows, px_buffer (else None: px is a view of the input);
+    the weight columns (d, 3d) and the q/k/v block (B C k, 3d), with qp, kp
+    and vp as views into it; the channel-attention kernel's ChannelAttention
+    (made by the first pass); pooled, energy, the products y y^T, logits
+    and one (B, n_classes) scratch. make_backward adds, for train at once
+    and else on the first backward pass, the BCE gradient dlogits, d pooled
+    and d energy as column views of one (B, d + C) array, the energy term
+    of dy and dy. A pass through it overwrites all of them.
+    """
+
+    def __init__(self, layer: WindowAttentionLayer, b: int, train: bool = False):
+        kwin, d, m = layer.window, layer.feature_dim, layer.n_classes
+        e = len(layer.projectors.stack)
+        c = e if layer.variant == "pre" else 1
+        self.b, self.px, self.att, self.dy = b, None, None, None
+        self.px_buffer = np.empty((b, c, kwin, d)) if train or layer.variant == "pre" else None
+        self.w_qkv = np.empty((d, 3 * d))
+        self.w_qkv_cols = self.w_qkv.reshape(d, 3, d)
+        self.qkv = np.empty((b * c * kwin, 3 * d))
+        self.qp, self.kp, self.vp = self.qkv.reshape(b, c, kwin, 3, d).transpose(3, 0, 1, 2, 4)
+        self.pooled, self.energy = np.empty((b, d)), np.empty((b, e))
+        self.yy = np.empty((b, kwin, kwin))
+        self.yy_rows = self.yy.reshape(b, -1)
+        self.logits, self.scratch = np.empty((b, m)), np.empty((b, m))
+        if train:
+            self.make_backward()
+
+    def make_backward(self) -> None:
+        (b, d), e = self.pooled.shape, self.energy.shape[1]
+        self.dlogits = np.empty(self.logits.shape)
+        self.dreadout = np.empty((b, d + e))
+        self.dpooled, self.denergy = self.dreadout[:, :d], self.dreadout[:, d:]
+        self.dpooled_rows = self.dpooled[:, None, :]
+        self.dyy = np.empty(self.yy.shape)
+        self.dyy_rows = self.dyy.reshape(b, -1)
+        self.dy = np.empty((b, self.yy.shape[1], d))
 
 
 def finite_diff_check(layer: WindowAttentionLayer, x, label: int,
@@ -406,15 +484,20 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     Before any weight changes, the call checks that the layer has one class
     (the loss is binary cross-entropy on one logit) and both splits (window
     shape, finite features, labels of 0 or 1), projects the training windows
-    once and allocates the step's gradient and update buffers. A split given
-    as a WindowSet is read from its own features and labels arrays. Each step
-    then runs the layer's internal forward and backward passes on its rows
-    of that stack, writing the gradient into its buffer, and updates the
-    flat params buffer in place as params -= (lr * grad) / b, computed in
-    that order inside the update buffer. Step s of an epoch covers windows
-    order[(s-1) b : s b] of that epoch's shuffle, with b = batch_size. The
-    steps keep their logits, and the epoch's losses are computed from them
-    once, after its last step. With clean inputs a non-finite value can only
+    once and allocates the step's gradient and update buffers and two
+    workspaces, one for a full batch and one for a shorter last batch, each
+    holding every array of one forward and backward pass. A split given as a
+    WindowSet is read from its own features and labels arrays. Each step
+    gathers its rows of the projected stack into its workspace with np.take
+    (or takes a one-row slice at b = 1, with no copy), runs the layer's
+    internal forward and backward passes there, writing every intermediate
+    in place and the gradient into its buffer, and updates the flat params
+    buffer in place as params -= (lr * grad) / b, computed in that order
+    inside the update buffer (b = 1 skips the division). No epoch copies
+    the training stack. Step s of an epoch covers windows order[(s-1) b :
+    s b] of that epoch's shuffle, with b = batch_size. The steps keep their
+    logits, and the epoch's losses are computed from them once, after its
+    last step. With clean inputs a non-finite value can only
     come from diverging weights: it raises RuntimeError naming the epoch and
     step instead of training on; non-finite attention scores are caught by
     the kernel's softmax check, whose message the error carries.
@@ -439,10 +522,13 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     n, batch_size, params, lr = len(train_x), cfg.batch_size, layer.params, cfg.learning_rate
     # Every step writes its gradient into the same buffer, laid out like params,
     # its update into a second one and its logits into its rows of an epoch's
-    # logits, in shuffled order.
+    # logits, in shuffled order; its forward and backward passes run in one
+    # workspace for the full batches and one for a shorter last batch.
     grad, update = np.empty_like(params), np.empty_like(params)
     grad_views = layer._grad_views(grad)
     logits = np.empty((n, layer.n_classes))
+    full = _Pass(layer, min(batch_size, n), train=True)
+    tail = _Pass(layer, n % batch_size, train=True) if n > batch_size and n % batch_size else full
     shuffle_rng = Rng(cfg.seed).derive(1)
     history = []
     # Diverging weights overflow long before the kernel's softmax rejects
@@ -457,15 +543,25 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
             step = done = 0
             try:
                 for step, start in enumerate(range(0, n, batch_size), 1):
-                    batch = order[start:start + batch_size]
-                    step_logits, state = layer._forward(train_px[batch])
-                    done = start + len(batch)
+                    end = min(start + batch_size, n)
+                    ws = full if end - start == full.b else tail
+                    if end - start == 1:
+                        i = order[start]
+                        px = train_px[i:i + 1]
+                    else:
+                        # order is a permutation, so no index needs the
+                        # default mode's check, which copies out first.
+                        px = np.take(train_px, order[start:end], axis=0, out=ws.px_buffer,
+                                     mode="clip")
+                    step_logits = layer._forward(px, ws)
+                    done = end
                     logits[start:done] = step_logits
-                    layer._backward(state, _bce_grad(step_logits, label_col[start:done]),
-                                    grad_views)
+                    layer._backward(ws, _bce_grad(step_logits, label_col[start:done],
+                                                  ws.dlogits, ws.scratch), grad_views)
                     # params -= lr * grad / b, in that order, with no temporaries.
                     np.multiply(grad, lr, out=update)
-                    update /= done - start
+                    if done - start > 1:
+                        update /= done - start
                     params -= update
                 losses = _bce_loss(logits, labels)
                 if not np.isfinite(losses).all():

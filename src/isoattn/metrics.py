@@ -9,6 +9,7 @@ import numpy as np
 from .attention import channel_weights, project
 from .layer import EVAL_CHUNK
 from .numerics import stack_matrices
+from .synth import WindowSet
 
 _ZERO_ROW_TOL = 1e-12
 
@@ -67,8 +68,20 @@ class ActivationReport:
     rows: tuple[ActivationRow, ...]
 
 
+def _features(windows):
+    # A WindowSet's own features array as it is; windows or (k, d) matrices
+    # stacked, or an empty list.
+    if isinstance(windows, WindowSet):
+        return windows.features
+    feats = [w.features if hasattr(w, "features") else w for w in windows]
+    return stack_matrices(feats) if feats else feats
+
+
 def activation_mapping(layer, motif_windows, background_windows) -> ActivationReport:
     """Per-channel attention mass on motif versus background windows.
+
+    Each set is a synth.WindowSet, whose features array is read as it is, or
+    a sequence of windows or (k, d) feature matrices.
 
     Uses the pre-variant channel weights: each channel attends with
     softmax((Pq)(Pk)^T / sqrt(d)). Rows where the projected query vanishes
@@ -77,14 +90,12 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     with no valid rows are excluded; channels degenerate on a whole set come
     back as None.
     """
-    motifs = [w.features if hasattr(w, "features") else w for w in motif_windows]
-    backgrounds = [w.features if hasattr(w, "features") else w for w in background_windows]
-    if not motifs or not backgrounds:
+    motifs, backgrounds = _features(motif_windows), _features(background_windows)
+    if not len(motifs) or not len(backgrounds):
         raise ValueError("activation_mapping: both window sets must be non-empty")
     ps = layer.projectors
 
-    def set_masses(windows) -> list[float | None]:
-        windows = stack_matrices(windows)
+    def set_masses(windows: np.ndarray) -> list[float | None]:
         masses, counted = [], []
         for start in range(0, len(windows), EVAL_CHUNK):
             px = project(ps.stack, windows[start:start + EVAL_CHUNK])

@@ -71,24 +71,31 @@ def softmax_rows(m) -> np.ndarray:
     return softmax_columns(m.reshape(-1, m.shape[-1]).T.copy()).reshape(m.shape)
 
 
-def softmax_columns(t: np.ndarray) -> np.ndarray:
+def softmax_columns(t: np.ndarray, out: np.ndarray | None = None,
+                    finite: np.ndarray | None = None,
+                    columns: np.ndarray | None = None) -> np.ndarray:
     """Softmax of every column of a C-contiguous key-major matrix t (keys,
-    rows), returned as the row-stochastic weights (rows, keys), a new
+    rows), returned as the row-stochastic weights (rows, keys), a
     C-contiguous array. t is overwritten.
 
     softmax_rows(m) is softmax_columns of m's rows as columns; a caller that
     makes its scores key-major in the first place skips that copy. The max
     subtraction, exp and column sums run in place on t, and the division
     writes straight into the transposed layout. Non-finite input is rejected
-    with softmax_rows' error.
+    with softmax_rows' error. A caller that runs many softmaxes of one shape
+    passes the weights out, the finiteness mask finite (t's shape, bool) and
+    the column buffer columns (rows,) that holds the max and then the sums;
+    each is made when it is None.
     """
-    if not np.logical_and.reduce(np.isfinite(t), axis=None):
+    if not np.logical_and.reduce(np.isfinite(t, out=finite), axis=None):
         raise ValueError("softmax_rows: input contains NaN or Inf")
-    t -= np.maximum.reduce(t, 0)
+    columns = np.maximum.reduce(t, 0, out=columns)
+    t -= columns
     np.exp(t, out=t)
-    weights = np.empty((t.shape[1], t.shape[0]))
-    np.divide(t, np.add.reduce(t, 0), out=weights.T)
-    return weights
+    if out is None:
+        out = np.empty((t.shape[1], t.shape[0]))
+    np.divide(t, np.add.reduce(t, 0, out=columns), out=out.T)
+    return out
 
 
 def softmax_rows_vjp(weights, grad) -> np.ndarray:
@@ -104,9 +111,19 @@ def softmax_rows_vjp(weights, grad) -> np.ndarray:
     return softmax_vjp(weights, grad)
 
 
-def softmax_vjp(weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """softmax_rows_vjp without its checks, on float64 stacks of one shape."""
-    return weights * (grad - np.add.reduce(grad * weights, -1, keepdims=True))
+def softmax_vjp(weights: np.ndarray, grad: np.ndarray, out: np.ndarray | None = None,
+                product: np.ndarray | None = None,
+                sums: np.ndarray | None = None) -> np.ndarray:
+    """softmax_rows_vjp without its checks, on float64 stacks of one shape.
+
+    A caller that runs it many times passes the result out (which may be
+    grad itself), the product grad * weights and the row sums (..., 1);
+    each is made when it is None.
+    """
+    sums = np.add.reduce(np.multiply(grad, weights, out=product), -1, keepdims=True, out=sums)
+    out = np.subtract(grad, sums, out=out)
+    out *= weights
+    return out
 
 
 class Rng:
@@ -169,16 +186,20 @@ class Rng:
         starts = np.arange(n) * k + np.concatenate(([0], int_words[:-1]))
         at_uniform = starts[:, None] + np.arange(k)
         raw = bits.random_raw(n * k + int(int_words[-1]))
-        u = (raw[at_uniform] >> 11) * 2.0**-53
+        u = np.take(raw, at_uniform)
+        u >>= 11
+        u = u * 2.0**-53
         is_int = np.ones(len(raw), dtype=bool)
         is_int[at_uniform] = False
         words = raw[is_int]
-        halves = np.empty(spare + 2 * len(words), dtype=np.uint64)
-        halves[:spare] = saved["uinteger"]
-        halves[spare::2] = words & 0xFFFFFFFF
-        halves[spare + 1::2] = words >> 32
+        # Viewed as little-endian 32-bit pairs, the words are their low and
+        # high halves in draw order.
+        halves = words.astype("<u8", copy=False).view("<u4")
+        if spare:
+            halves = np.concatenate(([np.uint32(saved["uinteger"])], halves))
         m = halves[:n * k] * np.uint64(a)
-        if ((m & 0xFFFFFFFF) < (2**32 - a) % a).any():
+        redraw_below = (2**32 - a) % a
+        if redraw_below and ((m & 0xFFFFFFFF) < redraw_below).any():
             bits.state = saved
             return self._uniform_integer_loop(n, k, a)
         state = bits.state
@@ -186,7 +207,9 @@ class Rng:
         if len(words):
             state["uinteger"] = int(words[-1] >> 32)
         bits.state = state
-        return u, (m >> 32).astype(np.int64).reshape(n, k)
+        m >>= 32
+        # Every value is below 2**32, so int64 reads the same bits as uint64.
+        return u, m.view(np.int64).reshape(n, k)
 
     def _uniform_integer_loop(self, n: int, k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         u = np.empty((n, k))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from isoattn.attention import decompose_post, decompose_pre
 from isoattn.groups import mirror_group, permute_rows, trivial_group
 from isoattn.irreps import projector_set
 from isoattn.layer import (
@@ -311,6 +312,55 @@ def test_train_on_window_sets_is_train_on_pairs(variant, batch_size):
         lay = small_layer(variant, seed=27)
         runs.append((json.dumps(train(lay, train_data, val_data, cfg)), lay.params.tobytes()))
     assert runs[0] == runs[1]
+
+
+def _copies(arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def _all_equal(arrays, kept):
+    return len(arrays) == len(kept) and all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_returned_arrays_survive_later_calls_and_train(variant):
+    # Every public call writes into a workspace of its own, so nothing it
+    # returned changes when later calls run on other windows, when backward
+    # runs on the cache, or when train runs on the same layer.
+    rng = Rng(60)
+    x, other = rng.uniform(-1.0, 1.0, (5, 6, 4)), rng.uniform(-1.0, 1.0, (5, 6, 4))
+    lay = small_layer(variant, seed=61)
+    logits, cache = lay.forward(x)
+    att = cache["attention"]
+    returned = [logits] + [cache[name] for name in ("px", "y", "pooled", "energy")] + [
+        getattr(att, name) for name in ("qp", "kp", "vp", "weights", "outputs", "total")]
+    for dec in (decompose_pre(x, x, x, Z2_K6), decompose_post(x, x, x, Z2_K6)):
+        returned += [dec.total] + [a for ch in dec.channels for a in (ch.output, ch.weights)]
+    returned.append(lay.window_map(x))
+    kept = _copies(returned)
+
+    lay.backward(cache, np.ones((5, 1)))
+    _, other_cache = lay.forward(other)
+    lay.backward(other_cache, -np.ones((5, 1)))
+    lay.window_map(other)
+    decompose_pre(other, other, other, Z2_K6)
+    decompose_post(other, other, other, Z2_K6)
+    assert _all_equal(returned, kept)
+
+    ds = make_dataset(DatasetSpec(task="palindrome", n=60, k=6, noise_p=0.1, seed=62))
+    train_pairs = [(np.array(w.features), w.label) for w in ds.train]
+    val_pairs = [(np.array(w.features), w.label) for w in ds.val]
+    before = [list(train_pairs), list(val_pairs)]
+    split_arrays = [getattr(split, name) for split in (ds.train, ds.val)
+                    for name in ("symbols", "labels", "features")]
+    kept_splits, kept_pairs = _copies(split_arrays), _copies(f for f, _ in train_pairs + val_pairs)
+    for train_data, val_data in ((ds.train, ds.val), (train_pairs, val_pairs)):
+        train(lay, train_data, val_data, TrainConfig(epochs=2, learning_rate=0.3, seed=63,
+                                                      batch_size=7))
+    assert _all_equal(returned, kept)
+    assert _all_equal(split_arrays, kept_splits)
+    assert [train_pairs, val_pairs] == before
+    assert _all_equal([f for f, _ in train_pairs + val_pairs], kept_pairs)
 
 
 def test_train_history_fields_and_tracker():

@@ -17,7 +17,8 @@ from isoattn.metrics import (
     f1,
 )
 from isoattn.numerics import Rng
-from isoattn.synth import DatasetSpec, gen_nonpalindrome, gen_palindrome, make_dataset, perturb
+from isoattn.synth import (DatasetSpec, WindowSet, gen_nonpalindrome, gen_palindrome,
+                           make_dataset, perturb)
 
 
 def test_perfect_predictions():
@@ -163,3 +164,24 @@ def test_trained_layer_scores_feed_metrics():
     labels = [w.label for w in ds.val]
     acc = accuracy(preds, labels)
     assert 0.0 <= acc <= 1.0
+
+
+def test_activation_mapping_reads_window_sets_as_their_windows():
+    # A WindowSet's features array gives the report its windows give, for
+    # either set and for a set that spans more than one EVAL_CHUNK.
+    ds = make_dataset(DatasetSpec(task="palindrome", n=400, k=6, noise_p=0.1, seed=70))
+    lay = WindowAttentionLayer.random(projector_set(mirror_group(6)), 4, 1, "pre", Rng(71))
+    split = ds.train
+    by_label = [WindowSet(split.symbols[split.labels == label], split.alphabet_size,
+                          split.labels[split.labels == label], split.metas[split.labels == label])
+                for label in (1, 0)]
+    motifs, backgrounds = by_label
+    assert len(motifs) > 64 and len(backgrounds) > 64
+    want = activation_mapping(lay, list(motifs), list(backgrounds))
+    assert activation_mapping(lay, motifs, backgrounds) == want
+    assert activation_mapping(lay, motifs, list(backgrounds)) == want
+    assert activation_mapping(lay, list(motifs), backgrounds) == want
+    assert (activation_mapping(lay, ds.train, ds.val)
+            == activation_mapping(lay, list(ds.train), [w.features for w in ds.val]))
+    with pytest.raises(ValueError):
+        activation_mapping(lay, motifs[:0], backgrounds)

@@ -115,10 +115,16 @@ def ref_train(lay, train_data, val_data, cfg, softmax=ref_softmax_rows):
     return history
 
 
+# With 88 training windows: batch 1, batch 7 (a last step of 4), batch 16 (a
+# last step of 8), one step per epoch (88) and a batch larger than the split
+# (100). train keeps one workspace for its full batches and one for the
+# shorter last batch across all its steps and epochs.
+BATCH_SIZES = [1, 7, 16, 88, 100]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_train_is_the_reference_loop_bit_for_bit(variant, batch_size):
-    # 88 training windows, so batch 16 ends on a ragged step of 8.
     ds = make_dataset(DatasetSpec(task="palindrome", n=110, k=6, noise_p=0.1, seed=41))
     cfg = TrainConfig(epochs=3, learning_rate=0.3, seed=42, batch_size=batch_size)
     lay, ref = (WindowAttentionLayer.random(MIRROR6, 4, 1, variant, Rng(43)) for _ in range(2))
@@ -129,7 +135,7 @@ def test_train_is_the_reference_loop_bit_for_bit(variant, batch_size):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("k", [9, 12])
 def test_train_on_wide_windows_is_the_transposed_copy_softmax_loop(k, variant, batch_size):
     # Rows of 9 and 12 entries tell a left-to-right sum from numpy's pairwise
