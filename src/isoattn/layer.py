@@ -98,6 +98,14 @@ def _bce_grad(z: np.ndarray, y, out: np.ndarray | None = None,
     return out
 
 
+def _bce_grad_one(z, y):
+    """_bce_grad of one logit z and label y as float64 scalars, bit for bit:
+    exp(min(z, 0)) is exp(-|z|) for z < 0 and 1.0 otherwise, and np.exp of a
+    scalar runs the array loop (math.exp may differ in the last bit)."""
+    e = np.exp(-abs(z))
+    return (e if z < 0 else 1.0) / (e + 1.0) - y
+
+
 def _weight(index: int) -> property:
     # A read-only attribute over one weight's view of the flat buffer.
     return property(lambda self: self._weights[index],
@@ -229,12 +237,8 @@ class WindowAttentionLayer:
         np.copyto(ws.w_qkv_cols, self._qkv_cols)
         np.dot(px.reshape(-1, ws.w_qkv.shape[0]), ws.w_qkv, out=ws.qkv)
         ws.px = px
-        # The first pass through ws makes the kernel's workspace with the
-        # plain three-stack call; later passes hand it back.
-        if ws.att is None:
-            ws.att = channel_attention(ws.qp, ws.kp, ws.vp)
-        else:
-            channel_attention(ws.qp, ws.kp, ws.vp, out=ws.att)
+        # The first pass through ws makes the kernel's workspace; later passes hand it back.
+        ws.att = channel_attention(ws.qp, ws.kp, ws.vp, out=ws.att)
         return ws.att
 
     # _forward and _backward hold the layer's math, on a channel stack px
@@ -493,7 +497,11 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     internal forward and backward passes there, writing every intermediate
     in place and the gradient into its buffer, and updates the flat params
     buffer in place as params -= (lr * grad) / b, computed in that order
-    inside the update buffer (b = 1 skips the division). No epoch copies
+    inside the update buffer (b = 1 skips the division). A step over one
+    window (every step at b = 1, or a last step of one) computes its loss
+    gradient from its one logit in numpy scalar arithmetic, _bce_grad_one:
+    the same operations on the same numbers as _bce_grad's eight array
+    calls, so the same bits. No epoch copies
     the training stack. Step s of an epoch covers windows order[(s-1) b :
     s b] of that epoch's shuffle, with b = batch_size. The steps keep their
     logits, and the epoch's losses are computed from them once, after its
@@ -555,9 +563,13 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
                                      mode="clip")
                     step_logits = layer._forward(px, ws)
                     done = end
-                    logits[start:done] = step_logits
-                    layer._backward(ws, _bce_grad(step_logits, label_col[start:done],
-                                                  ws.dlogits, ws.scratch), grad_views)
+                    if done - start == 1:
+                        z = logits[start, 0] = step_logits[0, 0]
+                        ws.dlogits[0, 0] = _bce_grad_one(z, label_col[start, 0])
+                    else:
+                        logits[start:done] = step_logits
+                        _bce_grad(step_logits, label_col[start:done], ws.dlogits, ws.scratch)
+                    layer._backward(ws, ws.dlogits, grad_views)
                     # params -= lr * grad / b, in that order, with no temporaries.
                     np.multiply(grad, lr, out=update)
                     if done - start > 1:

@@ -13,7 +13,6 @@ absent irrep, is kept here as a reference: the decompositions must match it
 bit for bit on the channels that occur, and the layer to within 1e-12.
 """
 
-import importlib
 import math
 
 import numpy as np
@@ -21,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isoattn.attention as attention_module
+import isoattn.layer as layer_module
 from isoattn.attention import (attention, channel_attention, channel_attention_vjp,
                                decompose_post, decompose_pre, equivariance_report, project)
 from isoattn.groups import from_descriptor, permute_rows
@@ -501,15 +502,12 @@ def test_every_consumer_has_one_channel_per_occurring_irrep(desc):
         assert [ch.label for ch in decompose(x, x, x, ps).channels] == labels
 
 
-def spy(monkeypatch, name, seen):
-    # import_module, because the package re-exports a function named
-    # `attention` that hides the submodule as a package attribute.
-    module = importlib.import_module(f"isoattn.{name}")
+def spy(monkeypatch, module, seen):
     kernel = module.channel_attention
 
-    def spied(qp, kp, vp):
+    def spied(qp, kp, vp, out=None):
         seen.append(qp.shape[1])
-        return kernel(qp, kp, vp)
+        return kernel(qp, kp, vp, out=out)
     monkeypatch.setattr(module, "channel_attention", spied)
 
 
@@ -517,8 +515,8 @@ def spy(monkeypatch, name, seen):
 def test_kernel_attends_in_the_present_channels_only(desc, monkeypatch):
     ps = projector_set(from_descriptor(desc))
     seen = []
-    spy(monkeypatch, "attention", seen)
-    spy(monkeypatch, "layer", seen)
+    spy(monkeypatch, attention_module, seen)
+    spy(monkeypatch, layer_module, seen)
     x = np.ones((2, ps.window, 3))
     decompose_pre(x, x, x, ps)
     lay = WindowAttentionLayer.random(ps, 3, 1, "pre", Rng(1))

@@ -14,6 +14,8 @@ from isoattn.layer import (
     VARIANTS,
     WEIGHT_NAMES,
     WindowAttentionLayer,
+    _bce_grad,
+    _bce_grad_one,
     finite_diff_check,
     loss_bce,
     train,
@@ -191,6 +193,24 @@ def test_loss_bce_closed_forms():
     neg, _ = loss_bce(np.array([-40.0]), 0)
     assert 0.0 <= neg < 1e-15
     assert math.isfinite(loss_bce(np.array([700.0]), 0)[0])
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_one_window_bce_gradient_is_the_array_gradient_bit_for_bit(label):
+    # train's one-window steps use the scalar form; pytest makes any
+    # RuntimeWarning an error. On some of the random logits, math.exp in
+    # place of np.exp would change the gradient's last bit.
+    tails = [0.0, 5e-324, 1e-8, 0.5, 36.7, 700.0, 745.2, 1e308, np.inf]
+    zs = np.concatenate([tails, [-z for z in tails], [np.nan], Rng(3).uniform(-40, 40, 1000)])
+    y = np.float64(label)
+    for z in zs:
+        want = _bce_grad(np.array([[z]]), np.array([[y]]))[0, 0]
+        got = _bce_grad_one(z, y)
+        assert type(got) is np.float64
+        if np.isnan(want):
+            assert np.isnan(got), z
+        else:
+            assert np.array([got]).view(np.uint64) == np.array([want]).view(np.uint64), z
 
 
 def test_loss_bce_validation():

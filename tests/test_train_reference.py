@@ -116,10 +116,11 @@ def ref_train(lay, train_data, val_data, cfg, softmax=ref_softmax_rows):
 
 
 # With 88 training windows: batch 1, batch 7 (a last step of 4), batch 16 (a
-# last step of 8), one step per epoch (88) and a batch larger than the split
-# (100). train keeps one workspace for its full batches and one for the
+# last step of 8), batch 29 (a last step of one window, whose gradient train
+# computes as a scalar), one step per epoch (88) and a batch larger than the
+# split (100). train keeps one workspace for its full batches and one for the
 # shorter last batch across all its steps and epochs.
-BATCH_SIZES = [1, 7, 16, 88, 100]
+BATCH_SIZES = [1, 7, 16, 29, 88, 100]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
