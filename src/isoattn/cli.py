@@ -191,7 +191,7 @@ def cmd_train(args) -> int:
         for row in history:
             fh.write(json.dumps(row) + "\n")
     last = history[-1]
-    _, train_acc = layer._evaluate(lay, *layer._as_arrays(ds.train))
+    _, train_acc = layer._evaluate(lay, ds.train.features, ds.train.labels)
     _log(f"group {g.descriptor} variant {args.variant} epochs {args.epochs}")
     _log(f"final train_loss {last['train_loss']:.6f} train_acc "
          f"{train_acc:.4f} val_loss {last['val_loss']:.6f} "

@@ -44,7 +44,7 @@ import numpy as np
 from .attention import (ChannelAttention, channel_attention, channel_attention_vjp,
                         equivariance_report, project)
 from .irreps import ProjectorSet
-from .numerics import Matrix, Rng, as_matrix, rand_matrix, stack_matrices
+from .numerics import Matrix, Rng, as_matrix, rand_matrix
 from .synth import WindowSet
 
 VARIANTS = ("baseline", "pre", "post")
@@ -115,11 +115,11 @@ def _weight(index: int) -> property:
 class WindowAttentionLayer:
     """Window attention with a linear readout of pooled and invariant features.
 
-    The readout sees the column mean of the attention output through w_out
-    (d x n_classes) and one energy ||P_c y||_F^2 / k per channel of the
-    projector set through w_energy (one row per channel, n_classes columns).
-    w_energy is optional and defaults to zeros, which makes the logits
-    exactly pooled w_out.
+    The layer has one logit, for binary cross-entropy. The readout sees the
+    column mean of the attention output through w_out (d x 1) and one energy
+    ||P_c y||_F^2 / k per channel of the projector set through w_energy (one
+    row per channel, one column). w_energy is optional and defaults to
+    zeros, which makes the logit exactly pooled w_out.
 
     The five weights are views into one flat float64 buffer, params, laid
     out in WEIGHT_NAMES order, so one in-place update of params moves all
@@ -138,9 +138,9 @@ class WindowAttentionLayer:
         for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v)):
             if w.shape != (d, d):
                 raise ValueError(f"{name} must be {d}x{d}, got {w.shape}")
-        if w_out.ndim != 2 or w_out.shape[0] != d:
-            raise ValueError(f"w_out must have {d} rows, got shape {w_out.shape}")
-        energy_shape = (len(projectors.stack), w_out.shape[1])
+        if w_out.shape != (d, 1):
+            raise ValueError(f"w_out must be {d}x1 (one logit), got shape {w_out.shape}")
+        energy_shape = (len(projectors.stack), 1)
         w_energy = (np.zeros(energy_shape) if w_energy is None
                     else np.array(w_energy, dtype=np.float64))
         if w_energy.shape != energy_shape:
@@ -162,9 +162,9 @@ class WindowAttentionLayer:
         # product maps a channel stack through all three.
         self._qkv_cols = self._params[:3 * d * d].reshape(3, d, d).swapaxes(0, 1)
         self._w_out, self._w_energy = self._weights[3:]
-        # w_out and w_energy stacked, (d + C, n_classes), are the end of
-        # params; transposed, one product gives d pooled and d energy.
-        self._readout_t = self._params[3 * d * d:].reshape(d + len(projectors.stack), -1).T
+        # w_out and w_energy stacked, (d + C, 1), are the end of params; as
+        # one row, one product gives d pooled and d energy.
+        self._readout_t = self._params[3 * d * d:].reshape(1, -1)
         # Row c is P_c / k flattened, so energies = rows @ vec(y y^T): since P_c
         # is a symmetric idempotent, <P_c, y y^T> = ||P_c y||_F^2. Twice the
         # rows give d e_c / dy = 2 P_c y / k in the backward pass.
@@ -175,16 +175,17 @@ class WindowAttentionLayer:
     @classmethod
     def random(cls, projectors: ProjectorSet, feature_dim: int, n_classes: int,
                variant: str, rng: Rng) -> "WindowAttentionLayer":
-        """Uniform init in [-s, s] with s = 1/sqrt(feature_dim); w_energy starts at zero."""
-        if feature_dim < 1 or n_classes < 1:
-            raise ValueError(f"feature_dim and n_classes must be >= 1, got {feature_dim} "
-                             f"and {n_classes}")
+        """Uniform init in [-s, s] with s = 1/sqrt(feature_dim); w_energy starts at
+        zero. The only class count it takes is 1: the layer has one logit."""
+        if feature_dim < 1 or n_classes != 1:
+            raise ValueError(f"random: need feature_dim >= 1 and n_classes == 1 (one logit), "
+                             f"got {feature_dim} and {n_classes}")
         s = feature_dim ** -0.5
         return cls(projectors,
                    rand_matrix(rng, feature_dim, feature_dim, s),
                    rand_matrix(rng, feature_dim, feature_dim, s),
                    rand_matrix(rng, feature_dim, feature_dim, s),
-                   rand_matrix(rng, feature_dim, n_classes, s),
+                   rand_matrix(rng, feature_dim, 1, s),
                    variant)
 
     @property
@@ -199,10 +200,6 @@ class WindowAttentionLayer:
     @property
     def feature_dim(self) -> int:
         return self.w_q.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.w_out.shape[1]
 
     def _split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """The five weight-shaped views of a buffer laid out like params."""
@@ -237,16 +234,14 @@ class WindowAttentionLayer:
         np.copyto(ws.w_qkv_cols, self._qkv_cols)
         np.dot(px.reshape(-1, ws.w_qkv.shape[0]), ws.w_qkv, out=ws.qkv)
         ws.px = px
-        # The first pass through ws makes the kernel's workspace; later passes hand it back.
-        ws.att = channel_attention(ws.qp, ws.kp, ws.vp, out=ws.att)
-        return ws.att
+        return channel_attention(ws.qp, ws.kp, ws.vp, out=ws.att)
 
     # _forward and _backward hold the layer's math, on a channel stack px
     # (B, C, k, d) and a _Pass of its shape; the public methods below
     # validate and reshape around them.
 
     def _forward(self, px: np.ndarray, ws: "_Pass") -> np.ndarray:
-        """Logits (B, n_classes), ws.logits; ws keeps the state _backward reads."""
+        """Logits (B, 1), ws.logits; ws keeps the state _backward reads."""
         y = self._attend(px, ws).total
         np.add.reduce(y, 1, out=ws.pooled)
         ws.pooled /= self._kwin
@@ -260,7 +255,7 @@ class WindowAttentionLayer:
     def _backward(self, ws: "_Pass", dlogits: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
         """Writes the five weight gradients, summed over the B windows, into
         out (the views of _grad_views) given d(loss)/d(logits) of shape
-        (B, n_classes)."""
+        (B, 1)."""
         if ws.dy is None:
             ws.make_backward()
         g_qkv, g_out, g_energy = out
@@ -280,12 +275,11 @@ class WindowAttentionLayer:
         np.matmul(ws.px.reshape(-1, d).T, dqkv.reshape(3, -1, d), out=g_qkv)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
-        """Logits of one window (k, d), shape (n_classes,), or of a stack
-        (B, k, d), shape (B, n_classes). The cache entries y, pooled and
-        energy carry the same leading window axis as the input; energy has
-        one entry per channel. The channel axis of px and attention counts
-        the attending channels: one for baseline and post, every channel for
-        pre.
+        """Logits of one window (k, d), shape (1,), or of a stack (B, k, d),
+        shape (B, 1). The cache entries y, pooled and energy carry the same
+        leading window axis as the input; energy has one entry per channel.
+        The channel axis of px and attention counts the attending channels:
+        one for baseline and post, every channel for pre.
 
         Each call writes into a workspace of its own, which the cache holds,
         so a later call leaves the returned arrays as they are."""
@@ -293,11 +287,10 @@ class WindowAttentionLayer:
         ws = _Pass(self, len(xs))
         px = self._project(xs, ws.px_buffer)
         logits = self._forward(px, ws)
-        att = ws.att
-        y, pooled, energy = att.total, ws.pooled, ws.energy
+        y, pooled, energy = ws.att.total, ws.pooled, ws.energy
         if np.ndim(x) == 2:
             logits, y, pooled, energy = logits[0], y[0], pooled[0], energy[0]
-        cache = {"layer": self, "px": px, "attention": att, "y": y, "pooled": pooled,
+        cache = {"layer": self, "px": px, "attention": ws.att, "y": y, "pooled": pooled,
                  "energy": energy, "workspace": ws}
         return logits, cache
 
@@ -316,11 +309,10 @@ class WindowAttentionLayer:
             raise ValueError("backward: cache does not belong to this layer")
         ws = cache["workspace"]
         dlogits = np.asarray(dlogits, dtype=np.float64)
-        if dlogits.size != ws.b * self.n_classes:
-            raise ValueError(f"backward: dlogits must have shape "
-                             f"{cache['pooled'].shape[:-1] + (self.n_classes,)}")
+        if dlogits.size != ws.b:
+            raise ValueError(f"backward: expected {ws.b} dlogits, got shape {dlogits.shape}")
         grad = np.empty_like(self._params)
-        self._backward(ws, dlogits.reshape(ws.b, self.n_classes), self._grad_views(grad))
+        self._backward(ws, dlogits.reshape(ws.b, 1), self._grad_views(grad))
         return dict(zip(WEIGHT_NAMES, self._split(grad)))
 
     def loss_and_grads(self, x, label):
@@ -338,28 +330,29 @@ class _Pass:
     for train, which gathers its windows there, a (B, C, k, d) buffer of
     projected windows, px_buffer (else None: px is a view of the input);
     the weight columns (d, 3d) and the q/k/v block (B C k, 3d), with qp, kp
-    and vp as views into it; the channel-attention kernel's ChannelAttention
-    (made by the first pass); pooled, energy, the products y y^T, logits
-    and one (B, n_classes) scratch. make_backward adds, for train at once
-    and else on the first backward pass, the BCE gradient dlogits, d pooled
-    and d energy as column views of one (B, d + C) array, the energy term
-    of dy and dy. A pass through it overwrites all of them.
+    and vp as views into it; the kernel's ChannelAttention on them; pooled,
+    energy, the products y y^T, logits and one (B, 1) scratch. make_backward
+    adds, for train at once and else on the first backward pass, the BCE
+    gradient dlogits, d pooled and d energy as column views of one
+    (B, d + C) array, the energy term of dy and dy. A pass through it
+    overwrites all of them.
     """
 
     def __init__(self, layer: WindowAttentionLayer, b: int, train: bool = False):
-        kwin, d, m = layer.window, layer.feature_dim, layer.n_classes
+        kwin, d = layer.window, layer.feature_dim
         e = len(layer.projectors.stack)
         c = e if layer.variant == "pre" else 1
-        self.b, self.px, self.att, self.dy = b, None, None, None
+        self.b, self.px, self.dy = b, None, None
         self.px_buffer = np.empty((b, c, kwin, d)) if train or layer.variant == "pre" else None
         self.w_qkv = np.empty((d, 3 * d))
         self.w_qkv_cols = self.w_qkv.reshape(d, 3, d)
         self.qkv = np.empty((b * c * kwin, 3 * d))
         self.qp, self.kp, self.vp = self.qkv.reshape(b, c, kwin, 3, d).transpose(3, 0, 1, 2, 4)
+        self.att = ChannelAttention(self.qp, self.kp, self.vp)
         self.pooled, self.energy = np.empty((b, d)), np.empty((b, e))
         self.yy = np.empty((b, kwin, kwin))
         self.yy_rows = self.yy.reshape(b, -1)
-        self.logits, self.scratch = np.empty((b, m)), np.empty((b, m))
+        self.logits, self.scratch = np.empty((b, 1)), np.empty((b, 1))
         if train:
             self.make_backward()
 
@@ -417,25 +410,20 @@ class TrainConfig:
     tracker_trials: int = 2
 
 
-def _as_arrays(items) -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(split, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Window stack (N, k, d) and labels (N,) of a WindowSet, whose own
-    read-only arrays are returned as they are, or of windows or
-    (features, label) pairs."""
-    if isinstance(items, WindowSet):
-        return items.features, items.labels
-    feats, labels = [], []
-    for item in items:
-        if hasattr(item, "features") and hasattr(item, "label"):
-            f, label = item.features, item.label
-        else:
-            f, label = item
-        feats.append(f)
-        labels.append(label)
-    if not feats:
-        return np.empty((0, 0, 0)), np.empty(0, dtype=np.int64)
-    # Labels keep their values, so a label such as 0.5 fails the 0/1 check
-    # instead of being truncated.
-    return stack_matrices(feats), np.array(labels)
+    read-only arrays are returned as they are, or of a (features, labels)
+    pair of arrays, checked for shape."""
+    if isinstance(split, WindowSet):
+        return split.features, split.labels
+    if not (isinstance(split, tuple) and len(split) == 2):
+        raise ValueError(f"train: {name} split must be a WindowSet or a (features, labels) "
+                         f"pair of arrays, got {type(split).__name__}")
+    features, labels = np.asarray(split[0], dtype=np.float64), np.asarray(split[1])
+    if features.ndim != 3 or labels.shape != features.shape[:1]:
+        raise ValueError(f"train: {name} features must be (N, k, d) with N labels, got "
+                         f"shapes {features.shape} and {labels.shape}")
+    return features, labels
 
 
 def _evaluate(layer: WindowAttentionLayer, xs: np.ndarray,
@@ -485,42 +473,40 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     Returns one history row per epoch: epoch, train_loss, val_loss, val_acc
     and equivariance_max (the layer's window map, checked against its group).
 
-    Before any weight changes, the call checks that the layer has one class
-    (the loss is binary cross-entropy on one logit) and both splits (window
+    Each split is a WindowSet, read from its own features and labels
+    arrays, or a (features, labels) pair of arrays: an (N, k, d) window
+    stack and N labels. The loss is binary cross-entropy on the layer's one
+    logit. Before any weight changes, the call checks both splits (window
     shape, finite features, labels of 0 or 1), projects the training windows
     once and allocates the step's gradient and update buffers and two
     workspaces, one for a full batch and one for a shorter last batch, each
-    holding every array of one forward and backward pass. A split given as a
-    WindowSet is read from its own features and labels arrays. Each step
-    gathers its rows of the projected stack into its workspace with np.take
-    (or takes a one-row slice at b = 1, with no copy), runs the layer's
-    internal forward and backward passes there, writing every intermediate
-    in place and the gradient into its buffer, and updates the flat params
-    buffer in place as params -= (lr * grad) / b, computed in that order
-    inside the update buffer (b = 1 skips the division). A step over one
-    window (every step at b = 1, or a last step of one) computes its loss
-    gradient from its one logit in numpy scalar arithmetic, _bce_grad_one:
-    the same operations on the same numbers as _bce_grad's eight array
-    calls, so the same bits. No epoch copies
-    the training stack. Step s of an epoch covers windows order[(s-1) b :
-    s b] of that epoch's shuffle, with b = batch_size. The steps keep their
-    logits, and the epoch's losses are computed from them once, after its
-    last step. With clean inputs a non-finite value can only
-    come from diverging weights: it raises RuntimeError naming the epoch and
-    step instead of training on; non-finite attention scores are caught by
-    the kernel's softmax check, whose message the error carries.
+    holding every array of one forward and backward pass. Each step gathers
+    its rows of the projected stack into its workspace with np.take (or
+    takes a one-row slice at b = 1, with no copy), runs the layer's internal
+    forward and backward passes there, writing every intermediate in place
+    and the gradient into its buffer, and updates the flat params buffer in
+    place as params -= (lr * grad) / b, computed in that order inside the
+    update buffer (b = 1 skips the division). A step over one window (every
+    step at b = 1, or a last step of one) computes its loss gradient from
+    its one logit in numpy scalar arithmetic, _bce_grad_one: the same
+    operations on the same numbers as _bce_grad's eight array calls, so the
+    same bits. No epoch copies the training stack. Step s of an epoch covers
+    windows order[(s-1) b : s b] of that epoch's shuffle, with b =
+    batch_size. The steps keep their logits, and the epoch's losses are
+    computed from them once, after its last step. With clean inputs a
+    non-finite value can only come from diverging weights: it raises
+    RuntimeError naming the epoch and step instead of training on;
+    non-finite attention scores are caught by the kernel's softmax check,
+    whose message the error carries.
     """
-    if layer.n_classes != 1:
-        raise ValueError(f"train: binary cross-entropy needs n_classes == 1, "
-                         f"got {layer.n_classes}")
     if cfg.epochs < 1:
         raise ValueError(f"train: epochs must be >= 1, got {cfg.epochs}")
     if cfg.batch_size < 1:
         raise ValueError(f"train: batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.tracker_trials < 1:
         raise ValueError(f"train: tracker_trials must be >= 1, got {cfg.tracker_trials}")
-    train_x, train_y = _as_arrays(train_data)
-    val_x, val_y = _as_arrays(val_data)
+    train_x, train_y = _as_arrays(train_data, "train")
+    val_x, val_y = _as_arrays(val_data, "validation")
     if not len(train_x) or not len(val_x):
         raise ValueError("train: empty train or validation split")
     _check_split(layer, "train", train_x, train_y)
@@ -534,7 +520,7 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     # workspace for the full batches and one for a shorter last batch.
     grad, update = np.empty_like(params), np.empty_like(params)
     grad_views = layer._grad_views(grad)
-    logits = np.empty((n, layer.n_classes))
+    logits = np.empty((n, 1))
     full = _Pass(layer, min(batch_size, n), train=True)
     tail = _Pass(layer, n % batch_size, train=True) if n > batch_size and n % batch_size else full
     shuffle_rng = Rng(cfg.seed).derive(1)

@@ -81,7 +81,8 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     """Per-channel attention mass on motif versus background windows.
 
     Each set is a synth.WindowSet, whose features array is read as it is, or
-    a sequence of windows or (k, d) feature matrices.
+    a sequence of windows or (k, d) feature matrices; that form and
+    numerics.stack_matrices stay only because bench/run.py passes lists.
 
     Uses the pre-variant channel weights: each channel attends with
     softmax((Pq)(Pk)^T / sqrt(d)). Rows where the projected query vanishes

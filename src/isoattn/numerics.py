@@ -26,8 +26,8 @@ def as_matrix(values) -> Matrix:
 def stack_matrices(items) -> np.ndarray:
     """Stack equal-shape 2-D matrices into one (N, rows, cols) float64 array.
 
-    One np.stack makes the array, and as_matrix's check runs once on the
-    shape its matrices share.
+    One np.stack makes the array; as_matrix's check runs once on their shape.
+    Kept for activation_mapping's lists, which bench/run.py passes.
     """
     m = np.asarray(np.stack(items), dtype=np.float64)
     if m.ndim != 3 or 0 in m.shape[1:]:

@@ -348,11 +348,13 @@ def save_windows(windows, path: str) -> None:
             fh.write(f"{text} {w.label} {w.alphabet_size} {w.meta}\n")
 
 
-def load_windows(path: str) -> tuple[SequenceWindow, ...]:
+def load_windows(path: str) -> WindowSet:
     """Read the windows of a file written by save_windows, skipping blank
-    lines. A malformed record raises ValueError naming the file, the line
-    number and the record."""
-    out = []
+    lines, as one WindowSet (one encode_onehot call). A malformed record,
+    one with a label outside int64, or one whose alphabet size or length
+    differs from the first record's raises ValueError naming the file, the
+    line number and the record; a file with no records names the file."""
+    rows, labels, metas, first = [], [], [], None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
@@ -367,14 +369,24 @@ def load_windows(path: str) -> tuple[SequenceWindow, ...]:
                     text, label, alphabet_size = toks[0], int(toks[1]), int(toks[2])
                 except ValueError:
                     raise ValueError(f"{bad}: label and alphabet_size must be integers") from None
+                if not -2**63 <= label < 2**63:
+                    raise ValueError(f"{bad}: label must fit in int64")
                 if not 2 <= alphabet_size <= MAX_ALPHABET:
                     raise ValueError(f"{bad}: alphabet_size must be in [2, {MAX_ALPHABET}]")
                 try:
                     symbols = text_to_symbols(text, alphabet_size)
                 except ValueError as exc:
                     raise ValueError(f"{bad}: {exc}") from None
-                meta = toks[3] if len(toks) > 3 else ""
-                out.append(SequenceWindow(symbols, alphabet_size, label, meta))
+                shape = (alphabet_size, len(symbols))
+                first = first or shape
+                if shape != first:
+                    raise ValueError(f"{bad}: alphabet_size and length {shape} differ from the "
+                                     f"first record's {first}")
+                rows.append(symbols)
+                labels.append(label)
+                metas.append(toks[3] if len(toks) > 3 else "")
+        if not rows:
+            raise ValueError("no window records")
     except ValueError as exc:
         raise ValueError(f"window file {path!r}: {exc}") from None
-    return tuple(out)
+    return WindowSet(rows, first[0], labels, metas)

@@ -282,13 +282,12 @@ def check_train_against_reference(batch_size):
             ref = make_layer(desc, variant, 3, 7)
             xs = make_windows(lay, 45, 8)
             labels = Rng(9).integers(2, size=45)
-            samples = list(zip(xs[:37], labels[:37]))
-            val = list(zip(xs[37:], labels[37:]))
+            samples, val = (xs[:37], labels[:37]), (xs[37:], labels[37:])
             cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=10, batch_size=batch_size,
                               tracker_trials=1)
             history = train(lay, samples, val, cfg)
-            for row, (ref_train_loss, ref_val_loss) in zip(history,
-                                                          ref_train(ref, samples, val, cfg)):
+            ref_history = ref_train(ref, list(zip(*samples)), list(zip(*val)), cfg)
+            for row, (ref_train_loss, ref_val_loss) in zip(history, ref_history):
                 assert_close(row["train_loss"], ref_train_loss)
                 assert_close(row["val_loss"], ref_val_loss)
             for name in WEIGHT_NAMES:
@@ -534,7 +533,7 @@ def full_stack_layer(lay):
     """lay on full_stack: zero w_energy rows on the absent items, the other
     weights shared."""
     ps = lay.projectors
-    w_energy = np.zeros((len(ps.items), lay.n_classes))
+    w_energy = np.zeros((len(ps.items), 1))
     w_energy[list(ps.present)] = lay.w_energy
     return WindowAttentionLayer(full_stack(ps), lay.w_q, lay.w_k, lay.w_v, lay.w_out,
                                 lay.variant, w_energy)
@@ -567,7 +566,7 @@ def test_layer_on_present_channels_runs_as_the_full_stack(batch_size):
             assert not np.delete(ref_grads["w_energy"], present, axis=0).any()
             cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=12, batch_size=batch_size,
                               tracker_trials=1)
-            samples, val = list(zip(xs[:37], labels[:37])), list(zip(xs[37:], labels[37:]))
+            samples, val = (xs[:37], labels[:37]), (xs[37:], labels[37:])
             for row, ref_row in zip(train(lay, samples, val, cfg), train(ref, samples, val, cfg),
                                     strict=True):
                 for key in ("train_loss", "val_loss", "val_acc", "equivariance_max"):

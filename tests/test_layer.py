@@ -101,10 +101,19 @@ def test_w_energy_shape_validation():
                              np.zeros((3, 1)))
 
 
-@pytest.mark.parametrize("feature_dim, n_classes", [(0, 1), (4, 0), (-1, 1)])
+# (4, 2): the layer has one logit.
+@pytest.mark.parametrize("feature_dim, n_classes", [(0, 1), (4, 0), (-1, 1), (4, 2)])
 def test_random_rejects_empty_dimensions(feature_dim, n_classes):
-    with pytest.raises(ValueError, match="^feature_dim and n_classes must be >= 1"):
+    with pytest.raises(ValueError, match="^random: need feature_dim >= 1 and n_classes == 1"):
         WindowAttentionLayer.random(Z2_K6, feature_dim, n_classes, "pre", Rng(0))
+
+
+def test_w_out_must_be_one_column():
+    lay = small_layer()
+    for w_out in (np.zeros((4, 2)), np.zeros(4), np.zeros((4, 1, 1))):
+        with pytest.raises(ValueError, match=r"^w_out must be 4x1 \(one logit\)"):
+            WindowAttentionLayer(Z2_K6, lay.w_q, lay.w_k, lay.w_v, w_out, "pre")
+    assert lay.w_out.shape == (4, 1) and lay.w_energy.shape == (len(Z2_K6.stack), 1)
 
 
 def test_sign_energy_zero_on_palindromes_all_variants():
@@ -320,15 +329,19 @@ def test_train_deterministic_histories():
     assert json.dumps(hist[0]) == json.dumps(hist[1])
 
 
+def array_pair(split):
+    """A WindowSet as a (features, labels) pair of fresh, writable arrays."""
+    return np.array(split.features), np.array(split.labels)
+
+
 @pytest.mark.parametrize("variant", ["pre", "baseline"])
 @pytest.mark.parametrize("batch_size", [1, 16])
-def test_train_on_window_sets_is_train_on_pairs(variant, batch_size):
+def test_train_on_arrays_is_train_on_the_window_set(variant, batch_size):
     # 72 training windows, so batch 16 ends on a ragged step of 8.
     ds = make_dataset(DatasetSpec(task="palindrome", n=90, k=6, noise_p=0.1, seed=25))
-    pairs = [[(w.features, w.label) for w in split] for split in (ds.train, ds.val)]
     cfg = TrainConfig(epochs=2, learning_rate=0.3, seed=26, batch_size=batch_size)
     runs = []
-    for train_data, val_data in ((ds.train, ds.val), pairs):
+    for train_data, val_data in ((ds.train, ds.val), (array_pair(ds.train), array_pair(ds.val))):
         lay = small_layer(variant, seed=27)
         runs.append((json.dumps(train(lay, train_data, val_data, cfg)), lay.params.tobytes()))
     assert runs[0] == runs[1]
@@ -368,19 +381,16 @@ def test_returned_arrays_survive_later_calls_and_train(variant):
     assert _all_equal(returned, kept)
 
     ds = make_dataset(DatasetSpec(task="palindrome", n=60, k=6, noise_p=0.1, seed=62))
-    train_pairs = [(np.array(w.features), w.label) for w in ds.train]
-    val_pairs = [(np.array(w.features), w.label) for w in ds.val]
-    before = [list(train_pairs), list(val_pairs)]
+    train_pair, val_pair = array_pair(ds.train), array_pair(ds.val)
     split_arrays = [getattr(split, name) for split in (ds.train, ds.val)
                     for name in ("symbols", "labels", "features")]
-    kept_splits, kept_pairs = _copies(split_arrays), _copies(f for f, _ in train_pairs + val_pairs)
-    for train_data, val_data in ((ds.train, ds.val), (train_pairs, val_pairs)):
+    kept_splits, kept_pairs = _copies(split_arrays), _copies(train_pair + val_pair)
+    for train_data, val_data in ((ds.train, ds.val), (train_pair, val_pair)):
         train(lay, train_data, val_data, TrainConfig(epochs=2, learning_rate=0.3, seed=63,
                                                       batch_size=7))
     assert _all_equal(returned, kept)
     assert _all_equal(split_arrays, kept_splits)
-    assert [train_pairs, val_pairs] == before
-    assert _all_equal([f for f, _ in train_pairs + val_pairs], kept_pairs)
+    assert _all_equal(train_pair + val_pair, kept_pairs)
 
 
 def test_train_history_fields_and_tracker():
@@ -402,17 +412,15 @@ def test_train_aborts_on_divergence():
     w_v = 20.0 * np.eye(2)
     w_out = np.full((2, 1), 1e308)
     lay = WindowAttentionLayer(ps, zeros, zeros, w_v, w_out, "baseline")
-    sample = (np.eye(2), 0)
+    sample = (np.eye(2)[None], np.array([0]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError):
-            train(lay, [sample], [sample], TrainConfig(epochs=1, learning_rate=0.1,
-                                                       seed=0))
+            train(lay, sample, sample, TrainConfig(epochs=1, learning_rate=0.1, seed=0))
 
 
-def train_rejection(train_data, val_data, cfg=None, n_classes=1):
+def train_rejection(train_data, val_data, cfg=None):
     """The error train raises on bad data, checking it left the weights alone."""
-    lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, n_classes, "pre",
-                                      Rng(25))
+    lay = WindowAttentionLayer.random(projector_set(mirror_group(4)), 4, 1, "pre", Rng(25))
     # params holds every weight: they are views into it.
     before = lay.params.copy()
     with pytest.raises(ValueError) as info:
@@ -422,43 +430,49 @@ def train_rejection(train_data, val_data, cfg=None, n_classes=1):
     return str(info.value)
 
 
-def test_train_rejects_more_than_one_class_before_any_update():
-    # The loss reads logit column 0 only; a second class used to fail at
-    # step 1 as a diverged loss.
-    ds = small_dataset()
-    assert train_rejection(ds.train, ds.val, n_classes=2) == \
-        "train: binary cross-entropy needs n_classes == 1, got 2"
-
-
 def test_train_rejects_bad_label_before_any_update():
     ds = small_dataset()
-    val = [(w.features, w.label) for w in ds.val]
-    val[2] = (val[2][0], 2)
+    val = array_pair(ds.val)
+    val[1][2] = 2
     message = train_rejection(ds.train, val)
     assert "validation label at index 2" in message
-    train_data = [(w.features, w.label) for w in ds.train]
-    train_data[5] = (train_data[5][0], -1)
-    assert "train label at index 5" in train_rejection(train_data, ds.val)
-    train_data[5] = (train_data[5][0], 0.5)
-    assert "train label at index 5 is 0.5" in train_rejection(train_data, ds.val)
+    features, labels = array_pair(ds.train)
+    labels[5] = -1
+    assert "train label at index 5" in train_rejection((features, labels), ds.val)
+    labels = labels.astype(np.float64)
+    labels[5] = 0.5
+    assert "train label at index 5 is 0.5" in train_rejection((features, labels), ds.val)
 
 
 def test_train_rejects_non_finite_feature_before_any_update():
     ds = small_dataset()
-    train_data = [(w.features.copy(), w.label) for w in ds.train]
-    train_data[3][0][1, 2] = np.nan
+    train_data = array_pair(ds.train)
+    train_data[0][3, 1, 2] = np.nan
     assert "train window at index 3" in train_rejection(train_data, ds.val)
-    val = [(w.features.copy(), w.label) for w in ds.val]
-    val[-1][0][0, 0] = np.inf
-    assert f"validation window at index {len(val) - 1}" in train_rejection(ds.train, val)
+    val = array_pair(ds.val)
+    val[0][-1, 0, 0] = np.inf
+    assert f"validation window at index {len(val[0]) - 1}" in train_rejection(ds.train, val)
 
 
 def test_train_rejects_bad_window_shape_and_tracker_trials():
     ds = small_dataset()
-    val = [(np.zeros((4, 5)), 0)]
+    val = (np.zeros((1, 4, 5)), np.array([0]))
     assert "validation windows must be 4x4" in train_rejection(ds.train, val)
     cfg = TrainConfig(epochs=1, learning_rate=0.5, seed=3, tracker_trials=0)
     assert "tracker_trials" in train_rejection(ds.train, ds.val, cfg)
+
+
+def test_train_takes_a_window_set_or_an_array_pair_only():
+    ds = small_dataset()
+    assert train_rejection(list(ds.train), ds.val) == ("train: train split must be a WindowSet "
+                                                       "or a (features, labels) pair of arrays, "
+                                                       "got list")
+    pairs = [(w.features, w.label) for w in ds.val]
+    assert train_rejection(ds.train, pairs).startswith("train: validation split must be")
+    features, labels = array_pair(ds.train)
+    assert train_rejection((features[0], labels[:1]), ds.val) == \
+        "train: train features must be (N, k, d) with N labels, got shapes (4, 4) and (1,)"
+    assert train_rejection((features, labels[1:]), ds.val).endswith("(32, 4, 4) and (31,)")
 
 
 def diverged_message(learning_rate, batch_size):

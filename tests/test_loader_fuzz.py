@@ -5,9 +5,10 @@ Each example takes a file written by save_projectors, save_group or
 save_windows and drops, duplicates or truncates lines, cuts the file short,
 or replaces tokens. A projector file or a group file is only accepted when it
 matches its rebuilt group exactly, so an accepted mutant must load as the
-original. Any well-formed window file is a valid dataset, so an accepted
-window mutant must load as exactly what it says: saving it again gives the
-same tokens line for line.
+original. A window file loads as one WindowSet, so it is accepted only when
+its records are well formed and share the first record's alphabet size and
+window length; an accepted window mutant must load as exactly what it says:
+saving it again gives the same tokens line for line.
 """
 
 import itertools

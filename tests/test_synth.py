@@ -256,7 +256,12 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "windows.txt"
     save_windows(windows, str(path))
     back = load_windows(str(path))
-    assert len(back) == len(windows)
+    assert isinstance(back, WindowSet) and len(back) == len(windows)
+    for name in ("symbols", "labels", "features"):
+        want = np.concatenate([getattr(ds.train, name), getattr(ds.val, name)])
+        got = getattr(back, name)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert got.dtype == want.dtype
     for orig, loaded in zip(windows, back):
         assert loaded.symbols == orig.symbols
         assert loaded.label == orig.label
@@ -299,11 +304,36 @@ def test_load_names_the_file_and_line_of_a_bad_symbol(tmp_path):
 
 def test_load_names_the_file_and_line_of_every_bad_record(tmp_path):
     path = tmp_path / "windows.txt"
-    for record in ("AAAA 1", "AAAA x 4 palindrome", "AAAA 1 27 palindrome"):
+    # From the fourth on: a label outside int64, two other lengths, two other alphabets.
+    for record in ("AAAA 1", "AAAA x 4 palindrome", "AAAA 1 27 palindrome",
+                   f"AAAA {2**63} 4", "AAAAA 1 4 palindrome", "AAA 0 4", "ABBA 1 3 palindrome",
+                   "AAAA 1 26"):
         path.write_text(f"AAAA 1 4 palindrome\n{record}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^window file {re.escape(repr(str(path)))}: "
                                              f"line 2: bad window record '{record}'"):
             load_windows(str(path))
+
+
+@pytest.mark.parametrize("text", ["", "\n\n  \n"])
+def test_load_rejects_a_file_with_no_records(tmp_path, text):
+    path = tmp_path / "windows.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_windows(str(path))
+    assert str(info.value) == f"window file {str(path)!r}: no window records"
+
+
+def test_load_encodes_every_window_in_one_call(tmp_path, monkeypatch):
+    ds = make_dataset(DatasetSpec(task="cyclic", n=20, k=6, alphabet_size=3, seed=19))
+    path = tmp_path / "windows.txt"
+    save_windows(ds.train, str(path))
+    calls = []
+    encode = synth.encode_onehot
+    monkeypatch.setattr(synth, "encode_onehot", lambda *args: calls.append(1) or encode(*args))
+    back = load_windows(str(path))
+    assert calls == [1]
+    assert back.features.tobytes() == ds.train.features.tobytes()
+    assert list(back.metas) == list(ds.train.metas)
 
 
 # ---------- WindowSet ----------
@@ -388,13 +418,12 @@ def test_window_set_checks_its_inputs():
             WindowSet(symbols, 4, labels, metas)
 
 
-def test_as_arrays_takes_a_window_set_as_it_is():
+def test_as_arrays_takes_a_window_set_or_a_pair_as_it_is():
     ws = _window_set()
-    feats, labels = layer._as_arrays(ws)
+    feats, labels = layer._as_arrays(ws, "train")
     assert feats is ws.features and labels is ws.labels
-    want = layer._as_arrays(list(ws))
-    assert feats.tobytes() == want[0].tobytes() and feats.shape == want[0].shape
-    assert labels.tobytes() == want[1].tobytes() and labels.dtype == want[1].dtype
+    feats, labels = layer._as_arrays((ws.features, ws.labels), "train")
+    assert feats is ws.features and labels is ws.labels
 
 
 def test_make_dataset_golden_digest():
