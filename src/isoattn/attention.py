@@ -31,6 +31,14 @@ one and returns it, so nothing a public function returns is overwritten by
 a later call. A caller that runs many passes of one shape, as the layer's
 training loop does, hands the workspace of its first call back to the
 kernel and allocates nothing more.
+
+A workspace binds its passes once, when it is made: its forward and,
+once the backward arrays exist, its backward are closures over the arrays
+and views they read and write, so a call looks up no attribute and builds
+no view. No closure captures the workspace itself: a workspace that held
+itself through its own closures would be a reference cycle, freed only by
+the cyclic garbage collector, and a loop making fresh workspaces would
+keep many of them alive.
 """
 
 from __future__ import annotations
@@ -75,56 +83,78 @@ class ChannelAttention:
     their finiteness mask, one (B C n,) buffer for the softmax column max and
     then the column sums, the row-stochastic weights (B, C, n, n), the
     channel outputs weights @ vp (B, C, n, d) and their channel sum total
-    (B, n, d). channel_attention_vjp adds, on its first call through the
-    workspace, the softmax-vjp product (B, C, n, n), its row sums and the
-    gradients (3, B, C, n, d). A later call through the same workspace
-    overwrites them all.
+    (B, n, d). make_backward adds the softmax-vjp product (B, C, n, n), its
+    row sums and the gradients (3, B, C, n, d); channel_attention_vjp calls
+    it on its first call through the workspace. A later call through the
+    same workspace overwrites them all.
+
+    The passes are bound once: weigh() writes the scores and the weights,
+    forward() weighs and then mixes the values and sums the channels, and
+    backward(dout), bound by make_backward, runs the vjp given
+    d(loss)/d(total) as a (B, 1, n, d) view and returns grads. Each is
+    a closure over the arrays and views it reads and writes, never over the
+    workspace itself, so a workspace is freed by reference counting alone.
     """
 
     def __init__(self, qp, kp, vp):
         b, c, n, d = qp.shape
         self.qp, self.kp, self.vp = qp, kp, vp
-        self.scale = math.sqrt(d)
-        self.scores = np.empty((n, b * c * n))
-        self.finite = np.empty(self.scores.shape, dtype=bool)
-        self.columns = np.empty(b * c * n)
-        self.weights = np.empty((b, c, n, n))
-        self.outputs = np.empty(qp.shape)
-        self.total = np.empty((b, n, d))
-        # Views the products write or read: kp qp^T lands key-major, as
-        # (B, C, n keys, n queries) axes of the scores.
-        self._qp_t = qp.swapaxes(-1, -2)
-        self._scores_kq = self.scores.reshape(n, b, c, n).transpose(1, 2, 0, 3)
-        self._weights_rows = self.weights.reshape(-1, n)
-        self.grads = None
+        self.scale = scale = math.sqrt(d)
+        self.scores = scores = np.empty((n, b * c * n))
+        self.finite = finite = np.empty(scores.shape, dtype=bool)
+        self.columns = columns = np.empty(b * c * n)
+        self.weights = weights = np.empty((b, c, n, n))
+        self.outputs = outputs = np.empty(qp.shape)
+        self.total = total = np.empty((b, n, d))
+        self.grads = self.backward = None
+        # kp qp^T lands key-major, as (B, C, n keys, n queries) axes of the
+        # scores: the layout softmax_rows makes by copying, so
+        # softmax_columns normalises them in place in the same summation
+        # order, into the weights.
+        qp_t = qp.swapaxes(-1, -2)
+        scores_kq = scores.reshape(n, b, c, n).transpose(1, 2, 0, 3)
+        weights_rows = weights.reshape(-1, n)
+        matmul, divide, add_reduce = np.matmul, np.divide, np.add.reduce
 
-    def _make_backward(self) -> None:
-        # The arrays and views channel_attention_vjp writes or reads.
-        self.dscores = np.empty(self.weights.shape)
-        self.product = np.empty(self.weights.shape)
-        self.row_sums = np.empty(self.weights.shape[:-1] + (1,))
-        self.grads = np.empty((3,) + self.qp.shape)
-        self._vp_t = self.vp.swapaxes(-1, -2)
-        self._weights_t = self.weights.swapaxes(-1, -2)
-        self._dscores_t = self.dscores.swapaxes(-1, -2)
-        self._dqp, self._dkp, self._dvp = self.grads
+        def weigh() -> None:
+            matmul(kp, qp_t, out=scores_kq)
+            divide(scores, scale, out=scores)
+            softmax_columns(scores, weights_rows, finite, columns)
 
+        def forward() -> None:
+            weigh()
+            matmul(weights, vp, out=outputs)
+            add_reduce(outputs, 1, out=total)
+        self.weigh, self.forward = weigh, forward
 
-def _softmax_weights(att: ChannelAttention) -> None:
-    # The scores are written key-major, kp qp^T into an (n keys, B, C, n
-    # queries) array, the layout softmax_rows makes by copying, so
-    # softmax_columns normalises them in place in the same summation order,
-    # into att.weights.
-    np.matmul(att.kp, att._qp_t, out=att._scores_kq)
-    att.scores /= att.scale
-    softmax_columns(att.scores, att._weights_rows, att.finite, att.columns)
+    def make_backward(self) -> None:
+        """Allocates the backward arrays and binds backward over them."""
+        qp, kp, vp, weights, scale = self.qp, self.kp, self.vp, self.weights, self.scale
+        self.dscores = dscores = np.empty(weights.shape)
+        self.product = product = np.empty(weights.shape)
+        self.row_sums = row_sums = np.empty(weights.shape[:-1] + (1,))
+        self.grads = grads = np.empty((3,) + qp.shape)
+        vp_t, weights_t = vp.swapaxes(-1, -2), weights.swapaxes(-1, -2)
+        dscores_t = dscores.swapaxes(-1, -2)
+        dqp, dkp, dvp = grads
+        matmul, divide = np.matmul, np.divide
+
+        def backward(dout: np.ndarray) -> np.ndarray:
+            matmul(dout, vp_t, out=dscores)
+            softmax_vjp(weights, dscores, dscores, product, row_sums)
+            divide(dscores, scale, out=dscores)
+            matmul(dscores, kp, out=dqp)
+            matmul(dscores_t, qp, out=dkp)
+            matmul(weights_t, dout, out=dvp)
+            return grads
+        self.backward = backward
 
 
 def channel_weights(qp, kp) -> np.ndarray:
     """Row-stochastic weights softmax_rows(qp kp^T / sqrt(d)), (B, C, n, n),
     of projected query and key stacks (B, C, n, d)."""
     att = ChannelAttention(qp, kp, kp)  # vp is not read
-    _softmax_weights(att)
+    att.weigh()
     return att.weights
 
 
@@ -143,9 +173,7 @@ def channel_attention(qp, kp, vp, out: ChannelAttention | None = None) -> Channe
         out = ChannelAttention(qp, kp, vp)
     elif not (out.qp is qp and out.kp is kp and out.vp is vp):
         raise ValueError("channel_attention: out was made for other q/k/v stacks")
-    _softmax_weights(out)
-    np.matmul(out.weights, vp, out=out.outputs)
-    np.add.reduce(out.outputs, 1, out=out.total)
+    out.forward()
     return out
 
 
@@ -155,16 +183,9 @@ def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray) -> np.ndarr
 
     The array is att.grads, which the next vjp through att overwrites.
     """
-    if att.grads is None:
-        att._make_backward()
-    dout = dtotal[:, None]
-    ds = np.matmul(dout, att._vp_t, out=att.dscores)
-    softmax_vjp(att.weights, ds, ds, att.product, att.row_sums)
-    ds /= att.scale
-    np.matmul(ds, att.kp, out=att._dqp)
-    np.matmul(att._dscores_t, att.qp, out=att._dkp)
-    np.matmul(att._weights_t, dout, out=att._dvp)
-    return att.grads
+    if att.backward is None:
+        att.make_backward()
+    return att.backward(dtotal[:, None])
 
 
 def _channels(q, k, v, stack) -> ChannelAttention:

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (ChannelAttention, channel_attention, channel_attention_vjp,
-                        equivariance_report, project)
+from .attention import ChannelAttention, channel_attention, equivariance_report, project
 from .irreps import ProjectorSet
 from .numerics import Matrix, Rng, as_matrix, rand_matrix
 from .synth import WindowSet
@@ -206,7 +205,7 @@ class WindowAttentionLayer:
         return tuple(flat[part].reshape(shape) for part, shape in self._layout)
 
     def _grad_views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The views of a buffer laid out like params that _backward writes:
+        """The views of a buffer laid out like params that a pass's backward writes:
         w_q, w_k and w_v as one (3, d, d) block, then w_out and w_energy."""
         d = self.feature_dim
         return (flat[:3 * d * d].reshape(3, d, d),) + self._split(flat)[3:]
@@ -228,52 +227,6 @@ class WindowAttentionLayer:
         when given; the others return a view of xs."""
         return project(self.projectors.stack if self.variant == "pre" else None, xs, out)
 
-    def _attend(self, px: np.ndarray, ws: "_Pass") -> ChannelAttention:
-        # One 2-D product (B C k, d) @ (d, 3d) maps px through w_q, w_k and w_v
-        # into ws's q/k/v block; q, k and v are strided views of its columns.
-        np.copyto(ws.w_qkv_cols, self._qkv_cols)
-        np.dot(px.reshape(-1, ws.w_qkv.shape[0]), ws.w_qkv, out=ws.qkv)
-        ws.px = px
-        return channel_attention(ws.qp, ws.kp, ws.vp, out=ws.att)
-
-    # _forward and _backward hold the layer's math, on a channel stack px
-    # (B, C, k, d) and a _Pass of its shape; the public methods below
-    # validate and reshape around them.
-
-    def _forward(self, px: np.ndarray, ws: "_Pass") -> np.ndarray:
-        """Logits (B, 1), ws.logits; ws keeps the state _backward reads."""
-        y = self._attend(px, ws).total
-        np.add.reduce(y, 1, out=ws.pooled)
-        ws.pooled /= self._kwin
-        np.matmul(y, y.swapaxes(1, 2), out=ws.yy)
-        np.dot(ws.yy_rows, self._energy_rows_t, out=ws.energy)
-        np.dot(ws.pooled, self._w_out, out=ws.logits)
-        np.dot(ws.energy, self._w_energy, out=ws.scratch)
-        ws.logits += ws.scratch
-        return ws.logits
-
-    def _backward(self, ws: "_Pass", dlogits: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
-        """Writes the five weight gradients, summed over the B windows, into
-        out (the views of _grad_views) given d(loss)/d(logits) of shape
-        (B, 1)."""
-        if ws.dy is None:
-            ws.make_backward()
-        g_qkv, g_out, g_energy = out
-        np.dot(ws.pooled.T, dlogits, out=g_out)
-        np.dot(ws.energy.T, dlogits, out=g_energy)
-        np.dot(dlogits, self._readout_t, out=ws.dreadout)
-        # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
-        # e_c = ||P_c y||^2 / k adds (sum_c denergy_c 2 P_c / k) y.
-        np.dot(ws.denergy, self._energy_grad_rows, out=ws.dyy_rows)
-        np.matmul(ws.dyy, ws.att.total, out=ws.dy)
-        ws.dpooled /= self._kwin
-        ws.dy += ws.dpooled_rows
-        # qp = px w_q, so d w_q sums px^T dqp over windows and channels; the
-        # same matmul gives d w_k and d w_v.
-        d = g_qkv.shape[-1]
-        dqkv = channel_attention_vjp(ws.att, ws.dy)
-        np.matmul(ws.px.reshape(-1, d).T, dqkv.reshape(3, -1, d), out=g_qkv)
-
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Logits of one window (k, d), shape (1,), or of a stack (B, k, d),
         shape (B, 1). The cache entries y, pooled and energy carry the same
@@ -286,7 +239,7 @@ class WindowAttentionLayer:
         xs = self._windows(x)
         ws = _Pass(self, len(xs))
         px = self._project(xs, ws.px_buffer)
-        logits = self._forward(px, ws)
+        logits = ws.forward(px)
         y, pooled, energy = ws.att.total, ws.pooled, ws.energy
         if np.ndim(x) == 2:
             logits, y, pooled, energy = logits[0], y[0], pooled[0], energy[0]
@@ -298,7 +251,7 @@ class WindowAttentionLayer:
         """The pre-pooling window-to-window map; equivariant for all variants."""
         xs = self._windows(x)
         ws = _Pass(self, len(xs))
-        return self._attend(self._project(xs, ws.px_buffer), ws).total.reshape(np.shape(x))
+        return ws.attend(self._project(xs, ws.px_buffer)).total.reshape(np.shape(x))
 
     def backward(self, cache: dict, dlogits) -> dict[str, Matrix]:
         """Gradients of the five weight matrices given d(loss)/d(logits),
@@ -311,8 +264,11 @@ class WindowAttentionLayer:
         dlogits = np.asarray(dlogits, dtype=np.float64)
         if dlogits.size != ws.b:
             raise ValueError(f"backward: expected {ws.b} dlogits, got shape {dlogits.shape}")
+        if ws.backward is None:
+            ws.make_backward(self)
+        np.copyto(ws.dlogits, dlogits.reshape(ws.b, 1))
         grad = np.empty_like(self._params)
-        self._backward(ws, dlogits.reshape(ws.b, 1), self._grad_views(grad))
+        ws.backward(self._grad_views(grad))
         return dict(zip(WEIGHT_NAMES, self._split(grad)))
 
     def loss_and_grads(self, x, label):
@@ -326,45 +282,115 @@ class WindowAttentionLayer:
 class _Pass:
     """Workspace of one forward and backward pass of a layer over B windows.
 
-    It holds every array the forward pass writes: for the pre variant, and
+    It makes every array the forward pass writes: for the pre variant, and
     for train, which gathers its windows there, a (B, C, k, d) buffer of
     projected windows, px_buffer (else None: px is a view of the input);
     the weight columns (d, 3d) and the q/k/v block (B C k, 3d), with qp, kp
-    and vp as views into it; the kernel's ChannelAttention on them; pooled,
-    energy, the products y y^T, logits and one (B, 1) scratch. make_backward
-    adds, for train at once and else on the first backward pass, the BCE
-    gradient dlogits, d pooled and d energy as column views of one
-    (B, d + C) array, the energy term of dy and dy. A pass through it
-    overwrites all of them.
+    and vp as views into it; the kernel's ChannelAttention att on them;
+    pooled, energy, the products y y^T, logits and one (B, 1) scratch.
+    make_backward adds, for train at once and else on the first backward
+    pass, the BCE gradient dlogits, d pooled and d energy as column views
+    of one (B, d + C) array, the energy term of dy, dy and the kernel's
+    backward arrays. A pass through it overwrites all of them.
+
+    The layer's math runs in three closures, bound once over these arrays
+    and over the layer's weight views, which point into params, so an
+    in-place update of the weights reaches them:
+
+        attend(px)      px through w_q, w_k and w_v and the kernel; returns
+                        att
+        forward(px)     attend, then pooling, energies and logits; returns
+                        logits (B, 1)
+        backward(out)   bound by make_backward: writes the five weight
+                        gradients, summed over the B windows, into out (the
+                        views of _grad_views) given dlogits, for the last
+                        forward pass
+
+    px is a channel stack (B, C, k, d): px_buffer or any array of its shape.
+    No closure captures the pass itself, so it is freed by reference
+    counting alone; backward reads the last px from a one-slot list.
     """
 
     def __init__(self, layer: WindowAttentionLayer, b: int, train: bool = False):
         kwin, d = layer.window, layer.feature_dim
         e = len(layer.projectors.stack)
         c = e if layer.variant == "pre" else 1
-        self.b, self.px, self.dy = b, None, None
+        self.b, self.backward = b, None
         self.px_buffer = np.empty((b, c, kwin, d)) if train or layer.variant == "pre" else None
-        self.w_qkv = np.empty((d, 3 * d))
-        self.w_qkv_cols = self.w_qkv.reshape(d, 3, d)
-        self.qkv = np.empty((b * c * kwin, 3 * d))
-        self.qp, self.kp, self.vp = self.qkv.reshape(b, c, kwin, 3, d).transpose(3, 0, 1, 2, 4)
-        self.att = ChannelAttention(self.qp, self.kp, self.vp)
-        self.pooled, self.energy = np.empty((b, d)), np.empty((b, e))
-        self.yy = np.empty((b, kwin, kwin))
-        self.yy_rows = self.yy.reshape(b, -1)
-        self.logits, self.scratch = np.empty((b, 1)), np.empty((b, 1))
-        if train:
-            self.make_backward()
+        w_qkv, qkv = np.empty((d, 3 * d)), np.empty((b * c * kwin, 3 * d))
+        qp, kp, vp = qkv.reshape(b, c, kwin, 3, d).transpose(3, 0, 1, 2, 4)
+        self.att = att = ChannelAttention(qp, kp, vp)
+        self.pooled = pooled = np.empty((b, d))
+        self.energy = energy = np.empty((b, e))
+        self.logits = logits = np.empty((b, 1))
+        self.scratch = scratch = np.empty((b, 1))
+        yy = np.empty((b, kwin, kwin))
+        # The rows of the px the last forward pass mapped, for backward.
+        self._px_rows = px_rows = [None]
+        w_qkv_cols, qkv_cols = w_qkv.reshape(d, 3, d), layer._qkv_cols
+        w_out, w_energy = layer._w_out, layer._w_energy
+        energy_rows_t, kwin_f = layer._energy_rows_t, layer._kwin
+        y = att.total
+        y_t, yy_rows = y.swapaxes(1, 2), yy.reshape(b, -1)
+        copyto, dot, matmul = np.copyto, np.dot, np.matmul
+        add, divide, add_reduce = np.add, np.divide, np.add.reduce
 
-    def make_backward(self) -> None:
-        (b, d), e = self.pooled.shape, self.energy.shape[1]
-        self.dlogits = np.empty(self.logits.shape)
-        self.dreadout = np.empty((b, d + e))
-        self.dpooled, self.denergy = self.dreadout[:, :d], self.dreadout[:, d:]
-        self.dpooled_rows = self.dpooled[:, None, :]
-        self.dyy = np.empty(self.yy.shape)
-        self.dyy_rows = self.dyy.reshape(b, -1)
-        self.dy = np.empty((b, self.yy.shape[1], d))
+        def attend(px: np.ndarray) -> ChannelAttention:
+            # One 2-D product (B C k, d) @ (d, 3d) maps px through w_q, w_k
+            # and w_v into the q/k/v block; q, k and v are strided views of
+            # its columns. The kernel is looked up when called, so that
+            # replacing layer.channel_attention reaches every pass.
+            copyto(w_qkv_cols, qkv_cols)
+            rows = px.reshape(-1, d)
+            dot(rows, w_qkv, out=qkv)
+            px_rows[0] = rows
+            return channel_attention(qp, kp, vp, out=att)
+
+        def forward(px: np.ndarray) -> np.ndarray:
+            attend(px)
+            add_reduce(y, 1, out=pooled)
+            divide(pooled, kwin_f, out=pooled)
+            matmul(y, y_t, out=yy)
+            dot(yy_rows, energy_rows_t, out=energy)
+            dot(pooled, w_out, out=logits)
+            dot(energy, w_energy, out=scratch)
+            add(logits, scratch, out=logits)
+            return logits
+        self.attend, self.forward = attend, forward
+        if train:
+            self.make_backward(layer)
+
+    def make_backward(self, layer: WindowAttentionLayer) -> None:
+        att, px_rows = self.att, self._px_rows
+        pooled, energy, y = self.pooled, self.energy, att.total
+        (b, kwin, d), e = y.shape, energy.shape[1]
+        self.dlogits = dlogits = np.empty((b, 1))
+        dreadout = np.empty((b, d + e))
+        dpooled, denergy = dreadout[:, :d], dreadout[:, d:]
+        dyy, dy = np.empty((b, kwin, kwin)), np.empty((b, kwin, d))
+        att.make_backward()
+        kernel_backward, dqkv_rows = att.backward, att.grads.reshape(3, -1, d)
+        readout_t, energy_grad_rows, kwin_f = layer._readout_t, layer._energy_grad_rows, layer._kwin
+        pooled_t, energy_t = pooled.T, energy.T
+        dpooled_rows, dyy_rows, dout = dpooled[:, None, :], dyy.reshape(b, -1), dy[:, None]
+        dot, matmul, add, divide = np.dot, np.matmul, np.add, np.divide
+
+        def backward(out: tuple[np.ndarray, ...]) -> None:
+            g_qkv, g_out, g_energy = out
+            dot(pooled_t, dlogits, out=g_out)
+            dot(energy_t, dlogits, out=g_energy)
+            dot(dlogits, readout_t, out=dreadout)
+            # pooled = (1/k) ones^T y adds dpooled / k to every row of dy, and
+            # e_c = ||P_c y||^2 / k adds (sum_c denergy_c 2 P_c / k) y.
+            dot(denergy, energy_grad_rows, out=dyy_rows)
+            matmul(dyy, y, out=dy)
+            divide(dpooled, kwin_f, out=dpooled)
+            add(dy, dpooled_rows, out=dy)
+            # qp = px w_q, so d w_q sums px^T dqp over windows and channels;
+            # the same matmul gives d w_k and d w_v.
+            kernel_backward(dout)
+            matmul(px_rows[0].T, dqkv_rows, out=g_qkv)
+        self.backward = backward
 
 
 def finite_diff_check(layer: WindowAttentionLayer, x, label: int,
@@ -482,7 +508,7 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     workspaces, one for a full batch and one for a shorter last batch, each
     holding every array of one forward and backward pass. Each step gathers
     its rows of the projected stack into its workspace with np.take (or
-    takes a one-row slice at b = 1, with no copy), runs the layer's internal
+    takes a one-row slice at b = 1, with no copy), runs the workspace's bound
     forward and backward passes there, writing every intermediate in place
     and the gradient into its buffer, and updates the flat params buffer in
     place as params -= (lr * grad) / b, computed in that order inside the
@@ -547,7 +573,7 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
                         # default mode's check, which copies out first.
                         px = np.take(train_px, order[start:end], axis=0, out=ws.px_buffer,
                                      mode="clip")
-                    step_logits = layer._forward(px, ws)
+                    step_logits = ws.forward(px)
                     done = end
                     if done - start == 1:
                         z = logits[start, 0] = step_logits[0, 0]
@@ -555,7 +581,7 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
                     else:
                         logits[start:done] = step_logits
                         _bce_grad(step_logits, label_col[start:done], ws.dlogits, ws.scratch)
-                    layer._backward(ws, ws.dlogits, grad_views)
+                    ws.backward(grad_views)
                     # params -= lr * grad / b, in that order, with no temporaries.
                     np.multiply(grad, lr, out=update)
                     if done - start > 1:

@@ -68,7 +68,7 @@ class SequenceWindow:
 class WindowSet:
     """Windows over one alphabet, held as read-only arrays.
 
-    symbols is (n, k) int64, labels (n,), metas (n,) the windows' meta
+    symbols is (n, k) int64, labels (n,) integers, metas (n,) the windows' meta
     strings (an object array), and features the (n, k, alphabet_size)
     one-hot rows of symbols, made by one encode_onehot call, which checks
     every symbol. len counts the windows. ws[i] and iteration build each
@@ -86,6 +86,12 @@ class WindowSet:
         if symbols.ndim != 2 or labels.shape != symbols.shape[:1] or metas.shape != labels.shape:
             raise ValueError(f"WindowSet: expected (n, k) symbols with n labels and n metas, "
                              f"got shapes {symbols.shape}, {labels.shape} and {metas.shape}")
+        # ws[i] serves a label as an int, which needs an int64 or uint64
+        # array: numpy keeps an int beyond 64 bits as an object, a float as a
+        # float and a string as a string.
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"WindowSet: labels must be integers of at most 64 bits, got "
+                             f"{labels.dtype} labels")
         for array in (symbols, labels, metas, features):
             array.setflags(write=False)
         self._fill(symbols, alphabet_size, labels, metas, features)

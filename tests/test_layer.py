@@ -1,12 +1,15 @@
 """Trainable window-attention layer: forward, gradients, SGD loop."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from isoattn.attention import decompose_post, decompose_pre
+from isoattn.attention import (channel_attention, channel_attention_vjp, decompose_post,
+                               decompose_pre)
 from isoattn.groups import mirror_group, permute_rows, trivial_group
 from isoattn.irreps import projector_set
 from isoattn.layer import (
@@ -14,6 +17,7 @@ from isoattn.layer import (
     VARIANTS,
     WEIGHT_NAMES,
     WindowAttentionLayer,
+    _Pass,
     _bce_grad,
     _bce_grad_one,
     finite_diff_check,
@@ -255,6 +259,69 @@ def test_backward_rejects_stale_cache():
     _, cache = lay_a.forward(x)
     with pytest.raises(ValueError):
         lay_b.backward(cache, np.ones(1))
+
+
+def _pass_results(lay, ws, xs, dlogits):
+    """Logits and flat weight gradient of one forward and backward through ws."""
+    logits = ws.forward(lay._project(xs, ws.px_buffer)).copy()
+    ws.dlogits[...] = dlogits
+    grad = np.empty_like(lay.params)
+    ws.backward(lay._grad_views(grad))
+    return logits.tobytes(), grad.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_pass_sees_in_place_weight_edits(variant):
+    # A pass binds the layer's weight views when it is made; they point into
+    # params, so edits made later reach it, bit for bit.
+    rng = Rng(70)
+    xs, dlogits = rng.uniform(-1.0, 1.0, (3, 6, 4)), rng.uniform(-1.0, 1.0, (3, 1))
+    lay = small_layer(variant, seed=71)
+    made_before = _Pass(lay, 3, train=True)
+    before = _pass_results(lay, _Pass(lay, 3, train=True), xs, dlogits)
+    lay.w_q[...] = rand_matrix(rng, 4, 4, 1.0)
+    lay.params[...] *= 0.75
+    lay.params[-lay.w_energy.size:] = rng.uniform(-1.0, 1.0, lay.w_energy.size)
+    after = _pass_results(lay, _Pass(lay, 3, train=True), xs, dlogits)
+    assert _pass_results(lay, made_before, xs, dlogits) == after
+    assert after[0] != before[0] and after[1] != before[1]
+
+
+def test_passes_are_freed_by_reference_counting_alone():
+    # No bound pass may capture its own workspace: a workspace in a
+    # reference cycle waits for the cyclic collector, and training makes one
+    # per evaluation and tracker call.
+    lay = small_layer("pre", seed=72)
+    rng = Rng(73)
+    xs, dlogits = rng.uniform(-1.0, 1.0, (2, 6, 4)), rng.uniform(-1.0, 1.0, (2, 1))
+    gc.disable()
+    try:
+        for backward in (False, True):
+            ws = _Pass(lay, 2)
+            ws.forward(lay._project(xs, ws.px_buffer))
+            if backward:
+                ws.make_backward(lay)
+                _pass_results(lay, ws, xs, dlogits)
+            refs = weakref.ref(ws), weakref.ref(ws.att)
+            del ws
+            assert [ref() for ref in refs] == [None, None]
+
+            _, cache = lay.forward(xs)
+            if backward:
+                lay.backward(cache, dlogits)
+            refs = weakref.ref(cache["workspace"]), weakref.ref(cache["attention"])
+            del cache
+            assert [ref() for ref in refs] == [None, None]
+
+            qp = np.stack([xs, xs])
+            att = channel_attention(qp, qp, qp)
+            if backward:
+                channel_attention_vjp(att, xs)
+            ref = weakref.ref(att)
+            del att
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_finite_diff_small_cases():

@@ -418,6 +418,14 @@ def test_window_set_checks_its_inputs():
             WindowSet(symbols, 4, labels, metas)
 
 
+@pytest.mark.parametrize("label", [2**70, 0.5, "1"])
+def test_window_set_rejects_labels_it_cannot_serve(label):
+    # numpy would hold these as an object, a float and a string array.
+    with pytest.raises(ValueError, match="WindowSet: labels must be integers"):
+        WindowSet([[0, 1]], 4, [label], ["x"])
+    assert WindowSet([[0, 1]], 4, [2**64 - 1], ["x"])[0].label == 2**64 - 1
+
+
 def test_as_arrays_takes_a_window_set_or_a_pair_as_it_is():
     ws = _window_set()
     feats, labels = layer._as_arrays(ws, "train")
