@@ -14,31 +14,24 @@ window action, with its isotypic projector P:
           defined as the channel sum. Each channel is itself equivariant,
           but the total is not numerically equal to plain attention.
 
-Every attention in the package runs through one batched kernel: `project`
-splits a stack of windows into channels, `channel_attention` attends in all
-channels of all windows with batched matmuls, and `channel_attention_vjp`
-is its closed-form backward. The kernel makes its scores key-major and
-normalises them in place with numerics.softmax_columns, in softmax_rows'
-summation order and without its transposed copy. The attention functions
-below (which take one window or a stack), the layer's forward and backward
-passes and `metrics.activation_mapping` all call it.
+Every attention in the package runs through one batched kernel, a
+`ChannelAttention`: `project` splits a stack of windows into channels, the
+kernel's forward attends in all channels of all windows with batched
+matmuls, and its backward is the closed-form vjp. The kernel makes its
+scores key-major and normalises them in place with numerics.softmax_columns,
+in softmax_rows' summation order and without its transposed copy.
 
-The kernel writes into a workspace, a `ChannelAttention`: every array of
-one pass over stacks of one shape (B, C, n, d), from the scores to the
-gradients, each written with out= and in-place ufuncs in the order of
-operations of the plain formulas. A call without a workspace makes a fresh
-one and returns it, so nothing a public function returns is overwritten by
-a later call. A caller that runs many passes of one shape, as the layer's
-training loop does, hands the workspace of its first call back to the
-kernel and allocates nothing more.
-
-A workspace binds its passes once, when it is made: its forward and,
-once the backward arrays exist, its backward are closures over the arrays
-and views they read and write, so a call looks up no attribute and builds
-no view. No closure captures the workspace itself: a workspace that held
-itself through its own closures would be a reference cycle, freed only by
-the cyclic garbage collector, and a loop making fresh workspaces would
-keep many of them alive.
+A `ChannelAttention` is the workspace of one pass over stacks of one shape
+(B, C, n, d): every array from the scores to the gradients, written with
+out= and in-place ufuncs in the order of operations of the plain formulas
+by a forward and a backward bound once, as closures over them.
+`channel_attention` is the one-shot entry: it checks the stacks and returns
+a fresh workspace after one forward, so nothing a public function returns
+is overwritten by a later call. The attention functions below (which take
+one window or a stack) go through it, `metrics.activation_mapping` through
+`channel_weights`, and `channel_attention_vjp` runs a workspace's backward.
+The layer's pass makes one workspace over its own q/k/v block and calls its
+bound forward and backward directly.
 """
 
 from __future__ import annotations
@@ -84,9 +77,9 @@ class ChannelAttention:
     then the column sums, the row-stochastic weights (B, C, n, n), the
     channel outputs weights @ vp (B, C, n, d) and their channel sum total
     (B, n, d). make_backward adds the softmax-vjp product (B, C, n, n), its
-    row sums and the gradients (3, B, C, n, d); channel_attention_vjp calls
-    it on its first call through the workspace. A later call through the
-    same workspace overwrites them all.
+    row sums and the gradients (3, B, C, n, d); channel_attention_vjp, or
+    the layer's pass, calls it once, before the first backward through the
+    workspace. A later call through the same workspace overwrites them all.
 
     The passes are bound once: weigh() writes the scores and the weights,
     forward() weighs and then mixes the values and sums the channels, and
@@ -94,6 +87,9 @@ class ChannelAttention:
     d(loss)/d(total) as a (B, 1, n, d) view and returns grads. Each is
     a closure over the arrays and views it reads and writes, never over the
     workspace itself, so a workspace is freed by reference counting alone.
+    The layer's pass calls forward and backward directly, on a workspace
+    made once over its q/k/v block; channel_attention and
+    channel_attention_vjp are the checked entries for every other caller.
     """
 
     def __init__(self, qp, kp, vp):
@@ -158,23 +154,18 @@ def channel_weights(qp, kp) -> np.ndarray:
     return att.weights
 
 
-def channel_attention(qp, kp, vp, out: ChannelAttention | None = None) -> ChannelAttention:
+def channel_attention(qp, kp, vp) -> ChannelAttention:
     """Attention inside each channel of every window, summed over channels.
 
     qp, kp and vp are projected (B, C, n, d) stacks, as made by project. The
-    result is out, a ChannelAttention made by an earlier call on these same
-    three arrays, with its arrays overwritten, or a fresh one when out is
-    None.
+    result is a fresh ChannelAttention on them, after one forward pass.
     """
-    if out is None:
-        if qp.ndim != 4 or not (qp.shape == kp.shape == vp.shape):
-            raise ValueError(f"channel_attention: expected equal (B, C, n, d) stacks, got "
-                             f"{qp.shape}, {kp.shape}, {vp.shape}")
-        out = ChannelAttention(qp, kp, vp)
-    elif not (out.qp is qp and out.kp is kp and out.vp is vp):
-        raise ValueError("channel_attention: out was made for other q/k/v stacks")
-    out.forward()
-    return out
+    if qp.ndim != 4 or not (qp.shape == kp.shape == vp.shape):
+        raise ValueError(f"channel_attention: expected equal (B, C, n, d) stacks, got "
+                         f"{qp.shape}, {kp.shape}, {vp.shape}")
+    att = ChannelAttention(qp, kp, vp)
+    att.forward()
+    return att
 
 
 def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ Usage examples:
         --out metrics.jsonl
 
 Exit codes: 0 success, 1 runtime failure (including failed checks where the
-command promises it), 2 usage error.
+command promises it), 2 usage error. A file --out (projectors, dataset,
+train) that is a directory or whose directory does not exist is a usage
+error, found before any work.
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"--seed must be in [0, 2**64 - 1], got {seed}")
 
 
+def _check_out(path: str) -> None:
+    # A file --out that cannot be created is found before any work is done.
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: no directory {parent}")
+
+
 def _parse_group(descriptor: str) -> groups.FiniteGroup:
     try:
         return groups.from_descriptor(descriptor)
@@ -84,6 +95,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_projectors(args) -> int:
+    _check_out(args.out)
     g = _parse_group(args.group)
     ps = irreps.projector_set(g)
     report = irreps.verify_projector_set(ps)
@@ -156,6 +168,7 @@ def cmd_demo_dna(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    _check_out(args.out)
     spec = _dataset_spec(args)
     ds = synth.make_dataset(spec)
     synth.save_windows(list(ds.train) + list(ds.val), args.out)
@@ -165,6 +178,7 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out)
     spec = _dataset_spec(args)
     if args.epochs < 1:
         raise UsageError(f"--epochs must be >= 1, got {args.epochs}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ChannelAttention, channel_attention, equivariance_report, project
+from .attention import ChannelAttention, equivariance_report, project
 from .irreps import ProjectorSet
 from .numerics import Matrix, Rng, as_matrix, rand_matrix
 from .synth import WindowSet
@@ -157,10 +157,10 @@ class WindowAttentionLayer:
         # an int and rounds the same.
         kwin = projectors.window
         self._kwin = float(kwin)
-        # w_q, w_k and w_v side by side, (d, 3, d): reshaped to (d, 3d), one
-        # product maps a channel stack through all three.
-        self._qkv_cols = self._params[:3 * d * d].reshape(3, d, d).swapaxes(0, 1)
-        self._w_out, self._w_energy = self._weights[3:]
+        # w_q, w_k and w_v as one (3, d, d) block: one stacked product maps a
+        # channel stack through all three, and the backward writes their
+        # gradients in the same layout.
+        self._qkv = self._params[:3 * d * d].reshape(3, d, d)
         # w_out and w_energy stacked, (d + C, 1), are the end of params; as
         # one row, one product gives d pooled and d energy.
         self._readout_t = self._params[3 * d * d:].reshape(1, -1)
@@ -248,10 +248,9 @@ class WindowAttentionLayer:
         return logits, cache
 
     def window_map(self, x) -> Matrix:
-        """The pre-pooling window-to-window map; equivariant for all variants."""
-        xs = self._windows(x)
-        ws = _Pass(self, len(xs))
-        return ws.attend(self._project(xs, ws.px_buffer)).total.reshape(np.shape(x))
+        """The pre-pooling window-to-window map, forward's y; equivariant for
+        all variants."""
+        return self.forward(x)[1]["y"]
 
     def backward(self, cache: dict, dlogits) -> dict[str, Matrix]:
         """Gradients of the five weight matrices given d(loss)/d(logits),
@@ -285,26 +284,25 @@ class _Pass:
     It makes every array the forward pass writes: for the pre variant, and
     for train, which gathers its windows there, a (B, C, k, d) buffer of
     projected windows, px_buffer (else None: px is a view of the input);
-    the weight columns (d, 3d) and the q/k/v block (B C k, 3d), with qp, kp
-    and vp as views into it; the kernel's ChannelAttention att on them;
-    pooled, energy, the products y y^T, logits and one (B, 1) scratch.
-    make_backward adds, for train at once and else on the first backward
-    pass, the BCE gradient dlogits, d pooled and d energy as column views
-    of one (B, d + C) array, the energy term of dy, dy and the kernel's
-    backward arrays. A pass through it overwrites all of them.
+    the q/k/v block (3, B C k, d), whose three contiguous slices are qp, kp
+    and vp; the kernel's ChannelAttention att on them; pooled, energy, the
+    products y y^T, the logits and one (B, 1) scratch. make_backward adds,
+    for train at once and else on the first backward pass, the BCE gradient
+    dlogits, d pooled and d energy as column views of one (B, d + C) array,
+    the energy term of dy, dy and the kernel's backward arrays. A pass
+    through it overwrites all of them.
 
-    The layer's math runs in three closures, bound once over these arrays
-    and over the layer's weight views, which point into params, so an
-    in-place update of the weights reaches them:
+    The layer's math runs in two closures, bound once over these arrays and
+    over the layer's weight views, which point into params, so an in-place
+    update of the weights reaches them:
 
-        attend(px)      px through w_q, w_k and w_v and the kernel; returns
-                        att
-        forward(px)     attend, then pooling, energies and logits; returns
-                        logits (B, 1)
+        forward(px)     px through the (3, d, d) block of w_q, w_k and w_v,
+                        the kernel's bound forward, pooling, energies and
+                        logits; returns the logits (B, 1)
         backward(out)   bound by make_backward: writes the five weight
                         gradients, summed over the B windows, into out (the
-                        views of _grad_views) given dlogits, for the last
-                        forward pass
+                        views of _grad_views, the same (3, d, d) block first)
+                        given dlogits, for the last forward pass
 
     px is a channel stack (B, C, k, d): px_buffer or any array of its shape.
     No closure captures the pass itself, so it is freed by reference
@@ -317,46 +315,38 @@ class _Pass:
         c = e if layer.variant == "pre" else 1
         self.b, self.backward = b, None
         self.px_buffer = np.empty((b, c, kwin, d)) if train or layer.variant == "pre" else None
-        w_qkv, qkv = np.empty((d, 3 * d)), np.empty((b * c * kwin, 3 * d))
-        qp, kp, vp = qkv.reshape(b, c, kwin, 3, d).transpose(3, 0, 1, 2, 4)
+        qkv = np.empty((3, b * c * kwin, d))
+        qp, kp, vp = qkv.reshape(3, b, c, kwin, d)
         self.att = att = ChannelAttention(qp, kp, vp)
         self.pooled = pooled = np.empty((b, d))
         self.energy = energy = np.empty((b, e))
-        self.logits = logits = np.empty((b, 1))
+        logits = np.empty((b, 1))
         self.scratch = scratch = np.empty((b, 1))
         yy = np.empty((b, kwin, kwin))
         # The rows of the px the last forward pass mapped, for backward.
         self._px_rows = px_rows = [None]
-        w_qkv_cols, qkv_cols = w_qkv.reshape(d, 3, d), layer._qkv_cols
-        w_out, w_energy = layer._w_out, layer._w_energy
+        qkv_weights, (w_out, w_energy) = layer._qkv, layer._weights[3:]
         energy_rows_t, kwin_f = layer._energy_rows_t, layer._kwin
-        y = att.total
+        kernel_forward, y = att.forward, att.total
         y_t, yy_rows = y.swapaxes(1, 2), yy.reshape(b, -1)
-        copyto, dot, matmul = np.copyto, np.dot, np.matmul
+        dot, matmul = np.dot, np.matmul
         add, divide, add_reduce = np.add, np.divide, np.add.reduce
 
-        def attend(px: np.ndarray) -> ChannelAttention:
-            # One 2-D product (B C k, d) @ (d, 3d) maps px through w_q, w_k
-            # and w_v into the q/k/v block; q, k and v are strided views of
-            # its columns. The kernel is looked up when called, so that
-            # replacing layer.channel_attention reaches every pass.
-            copyto(w_qkv_cols, qkv_cols)
-            rows = px.reshape(-1, d)
-            dot(rows, w_qkv, out=qkv)
-            px_rows[0] = rows
-            return channel_attention(qp, kp, vp, out=att)
-
         def forward(px: np.ndarray) -> np.ndarray:
-            attend(px)
+            # One stacked product (B C k, d) @ (3, d, d) maps px through w_q,
+            # w_k and w_v into the q/k/v block.
+            rows = px.reshape(-1, d)
+            matmul(rows, qkv_weights, out=qkv)
+            px_rows[0] = rows
+            kernel_forward()
             add_reduce(y, 1, out=pooled)
             divide(pooled, kwin_f, out=pooled)
             matmul(y, y_t, out=yy)
             dot(yy_rows, energy_rows_t, out=energy)
             dot(pooled, w_out, out=logits)
             dot(energy, w_energy, out=scratch)
-            add(logits, scratch, out=logits)
-            return logits
-        self.attend, self.forward = attend, forward
+            return add(logits, scratch, out=logits)
+        self.forward = forward
         if train:
             self.make_backward(layer)
 

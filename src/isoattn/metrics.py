@@ -77,12 +77,26 @@ def _features(windows):
     return stack_matrices(feats) if feats else feats
 
 
+def _check_windows(layer, name: str, windows: np.ndarray) -> None:
+    """Reject a window set the layer cannot attend over, naming the set."""
+    shape = (layer.window, layer.feature_dim)
+    if windows.shape[1:] != shape:
+        raise ValueError(f"activation_mapping: {name} windows must be {shape[0]}x{shape[1]}, "
+                         f"got {windows.shape[1:]}")
+    bad = np.flatnonzero(~np.isfinite(windows).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"activation_mapping: {name} window at index {bad[0]} has a "
+                         f"non-finite feature")
+
+
 def activation_mapping(layer, motif_windows, background_windows) -> ActivationReport:
     """Per-channel attention mass on motif versus background windows.
 
     Each set is a synth.WindowSet, whose features array is read as it is, or
     a sequence of windows or (k, d) feature matrices; that form and
     numerics.stack_matrices stay only because bench/run.py passes lists.
+    Both sets are checked for the layer's (k, d) window shape and finite
+    features before any kernel pass; a bad set raises ValueError naming it.
 
     Uses the pre-variant channel weights: each channel attends with
     softmax((Pq)(Pk)^T / sqrt(d)). Rows where the projected query vanishes
@@ -94,6 +108,8 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     motifs, backgrounds = _features(motif_windows), _features(background_windows)
     if not len(motifs) or not len(backgrounds):
         raise ValueError("activation_mapping: both window sets must be non-empty")
+    _check_windows(layer, "motif", motifs)
+    _check_windows(layer, "background", backgrounds)
     ps = layer.projectors
 
     def set_masses(windows: np.ndarray) -> list[float | None]:

@@ -361,3 +361,19 @@ def test_demo_dna_sequence_above_the_cap_is_a_usage_error(tmp_path, capsys):
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["train", "--n", "50", "--k", "6", "--epochs", "1"],
+                                     ["dataset", "--n", "50"],
+                                     ["projectors", "--group", "mirror:6"]])
+def test_an_out_file_that_cannot_be_made_is_a_usage_error(command, tmp_path, capsys,
+                                                          monkeypatch):
+    # Found before any work: a directory, or a path in a missing directory.
+    for name in ("isoattn.cli.synth.make_dataset", "isoattn.cli.irreps.projector_set"):
+        monkeypatch.setattr(name, refuse)
+    missing = tmp_path / "missing" / "m.jsonl"
+    for out, message in ((tmp_path, f"--out {tmp_path} is a directory"),
+                         (missing, f"--out {missing}: no directory {missing.parent}")):
+        code, text, err = run(capsys, *command, "--out", str(out))
+        assert (code, text, err) == (2, "", f"error: {message}\n")
+    assert not missing.parent.exists()

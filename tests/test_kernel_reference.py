@@ -20,10 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isoattn.attention as attention_module
-import isoattn.layer as layer_module
-from isoattn.attention import (attention, channel_attention, channel_attention_vjp,
-                               decompose_post, decompose_pre, equivariance_report, project)
+from isoattn.attention import (ChannelAttention, attention, channel_attention,
+                               channel_attention_vjp, decompose_post, decompose_pre,
+                               equivariance_report, project)
 from isoattn.groups import from_descriptor, permute_rows
 from isoattn.irreps import ProjectorSet, projector_set
 from isoattn.layer import (
@@ -501,27 +500,28 @@ def test_every_consumer_has_one_channel_per_occurring_irrep(desc):
         assert [ch.label for ch in decompose(x, x, x, ps).channels] == labels
 
 
-def spy(monkeypatch, module, seen):
-    kernel = module.channel_attention
-
-    def spied(qp, kp, vp, out=None):
-        seen.append(qp.shape[1])
-        return kernel(qp, kp, vp, out=out)
-    monkeypatch.setattr(module, "channel_attention", spied)
-
-
 @pytest.mark.parametrize("desc", ABSENT_DESCRIPTORS)
 def test_kernel_attends_in_the_present_channels_only(desc, monkeypatch):
+    # Records the channel axis of every kernel workspace that is made: the
+    # one-shot entries, activation_mapping's weights and the layer's pass
+    # each make one per call.
     ps = projector_set(from_descriptor(desc))
     seen = []
-    spy(monkeypatch, attention_module, seen)
-    spy(monkeypatch, layer_module, seen)
+    make = ChannelAttention.__init__
+
+    def spied(self, qp, kp, vp):
+        seen.append(qp.shape[1])
+        make(self, qp, kp, vp)
+    monkeypatch.setattr(ChannelAttention, "__init__", spied)
     x = np.ones((2, ps.window, 3))
     decompose_pre(x, x, x, ps)
     lay = WindowAttentionLayer.random(ps, 3, 1, "pre", Rng(1))
     _, cache = lay.forward(x)
     assert cache["px"].shape == (2, len(ps.present), ps.window, 3)
     assert cache["energy"].shape == (2, len(ps.present))
+    assert seen == [len(ps.present)] * 2
+    seen.clear()
+    activation_mapping(lay, x, x)  # one kernel pass per window set
     assert seen == [len(ps.present)] * 2
     seen.clear()
     decompose_post(x, x, x, ps)

@@ -185,3 +185,24 @@ def test_activation_mapping_reads_window_sets_as_their_windows():
             == activation_mapping(lay, list(ds.train), [w.features for w in ds.val]))
     with pytest.raises(ValueError):
         activation_mapping(lay, motifs[:0], backgrounds)
+
+
+def refuse_kernel(*args):
+    raise AssertionError("kernel pass before the window check")
+
+
+@pytest.mark.parametrize("which", ["motif", "background"])
+@pytest.mark.parametrize("case", ["rows", "features", "nan"])
+def test_activation_mapping_rejects_bad_windows_by_set(which, case, monkeypatch):
+    # Each set is checked against the layer's (k, d) and for finite features
+    # before any kernel pass, in the list form too.
+    monkeypatch.setattr("isoattn.metrics.channel_weights", refuse_kernel)
+    lay = WindowAttentionLayer.random(projector_set(mirror_group(6)), 4, 1, "pre", Rng(72))
+    good = Rng(73).uniform(-1.0, 1.0, (3, 6, 4))
+    bad = {"rows": good[:, :5], "features": good[:, :, :3], "nan": good.copy()}[case]
+    if case == "nan":
+        bad[1, 2, 3] = np.nan
+    sets = (bad, good) if which == "motif" else (good, bad)
+    for form in (np.asarray, list):
+        with pytest.raises(ValueError, match=f"activation_mapping: {which} window"):
+            activation_mapping(lay, *(form(s) for s in sets))
