@@ -24,14 +24,13 @@ in softmax_rows' summation order and without its transposed copy.
 A `ChannelAttention` is the workspace of one pass over stacks of one shape
 (B, C, n, d): every array from the scores to the gradients, written with
 out= and in-place ufuncs in the order of operations of the plain formulas
-by a forward and a backward bound once, as closures over them.
-`channel_attention` is the one-shot entry: it checks the stacks and returns
-a fresh workspace after one forward, so nothing a public function returns
-is overwritten by a later call. The attention functions below (which take
-one window or a stack) go through it, `metrics.activation_mapping` through
-`channel_weights`, and `channel_attention_vjp` runs a workspace's backward.
-The layer's pass makes one workspace over its own q/k/v block and calls its
-bound forward and backward directly.
+by a forward and a backward bound once, as closures over them. It is the
+kernel's only entry, and it checks the stacks it is given. Every caller
+makes one and calls its bound passes: the attention functions below (which
+take one window or a stack) make a fresh one per call and run its forward,
+so nothing they return is overwritten by a later call;
+`metrics.activation_mapping` runs only its weigh; the layer's pass makes one
+over its own q/k/v block and runs its forward and backward.
 """
 
 from __future__ import annotations
@@ -70,35 +69,37 @@ def project(stack, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 class ChannelAttention:
     """Workspace and state of channel attention on projected stacks qp, kp
-    and vp of one shape (B, C, n, d).
+    and vp of one shape (B, C, n, d), the kernel's only entry.
 
-    It holds every array the kernel writes: the key-major scores (n, B C n),
-    their finiteness mask, one (B C n,) buffer for the softmax column max and
-    then the column sums, the row-stochastic weights (B, C, n, n), the
-    channel outputs weights @ vp (B, C, n, d) and their channel sum total
-    (B, n, d). make_backward adds the softmax-vjp product (B, C, n, n), its
-    row sums and the gradients (3, B, C, n, d); channel_attention_vjp, or
-    the layer's pass, calls it once, before the first backward through the
-    workspace. A later call through the same workspace overwrites them all.
+    It makes every array the kernel writes. Only the passes read the
+    key-major scores (n, B C n), their finiteness mask and one (B C n,)
+    buffer for the softmax column max and then the column sums. Callers
+    read the attributes weights, the row-stochastic (B, C, n, n); outputs,
+    the channel outputs weights @ vp (B, C, n, d); and total, their channel
+    sum (B, n, d). make_backward, called once before the first backward
+    through the workspace, adds the softmax-vjp arrays and grads
+    (3, B, C, n, d). A later call through the same workspace overwrites
+    them all.
 
     The passes are bound once: weigh() writes the scores and the weights,
     forward() weighs and then mixes the values and sums the channels, and
     backward(dout), bound by make_backward, runs the vjp given
-    d(loss)/d(total) as a (B, 1, n, d) view and returns grads. Each is
-    a closure over the arrays and views it reads and writes, never over the
-    workspace itself, so a workspace is freed by reference counting alone.
-    The layer's pass calls forward and backward directly, on a workspace
-    made once over its q/k/v block; channel_attention and
-    channel_attention_vjp are the checked entries for every other caller.
+    d(loss)/d(total) as a (B, 1, n, d) view and returns grads: dqp, dkp and
+    dvp in that order. Each is a closure over the arrays and views it reads
+    and writes, never over the workspace itself, so a workspace is freed by
+    reference counting alone.
     """
 
     def __init__(self, qp, kp, vp):
+        if qp.ndim != 4 or not (qp.shape == kp.shape == vp.shape):
+            raise ValueError(f"ChannelAttention: expected equal (B, C, n, d) stacks, got "
+                             f"{qp.shape}, {kp.shape}, {vp.shape}")
         b, c, n, d = qp.shape
         self.qp, self.kp, self.vp = qp, kp, vp
         self.scale = scale = math.sqrt(d)
-        self.scores = scores = np.empty((n, b * c * n))
-        self.finite = finite = np.empty(scores.shape, dtype=bool)
-        self.columns = columns = np.empty(b * c * n)
+        scores = np.empty((n, b * c * n))
+        finite = np.empty(scores.shape, dtype=bool)
+        columns = np.empty(b * c * n)
         self.weights = weights = np.empty((b, c, n, n))
         self.outputs = outputs = np.empty(qp.shape)
         self.total = total = np.empty((b, n, d))
@@ -126,9 +127,8 @@ class ChannelAttention:
     def make_backward(self) -> None:
         """Allocates the backward arrays and binds backward over them."""
         qp, kp, vp, weights, scale = self.qp, self.kp, self.vp, self.weights, self.scale
-        self.dscores = dscores = np.empty(weights.shape)
-        self.product = product = np.empty(weights.shape)
-        self.row_sums = row_sums = np.empty(weights.shape[:-1] + (1,))
+        dscores, product = np.empty(weights.shape), np.empty(weights.shape)
+        row_sums = np.empty(weights.shape[:-1] + (1,))
         self.grads = grads = np.empty((3,) + qp.shape)
         vp_t, weights_t = vp.swapaxes(-1, -2), weights.swapaxes(-1, -2)
         dscores_t = dscores.swapaxes(-1, -2)
@@ -146,42 +146,11 @@ class ChannelAttention:
         self.backward = backward
 
 
-def channel_weights(qp, kp) -> np.ndarray:
-    """Row-stochastic weights softmax_rows(qp kp^T / sqrt(d)), (B, C, n, n),
-    of projected query and key stacks (B, C, n, d)."""
-    att = ChannelAttention(qp, kp, kp)  # vp is not read
-    att.weigh()
-    return att.weights
-
-
-def channel_attention(qp, kp, vp) -> ChannelAttention:
-    """Attention inside each channel of every window, summed over channels.
-
-    qp, kp and vp are projected (B, C, n, d) stacks, as made by project. The
-    result is a fresh ChannelAttention on them, after one forward pass.
-    """
-    if qp.ndim != 4 or not (qp.shape == kp.shape == vp.shape):
-        raise ValueError(f"channel_attention: expected equal (B, C, n, d) stacks, got "
-                         f"{qp.shape}, {kp.shape}, {vp.shape}")
-    att = ChannelAttention(qp, kp, vp)
+def _channels(q, k, v, stack) -> ChannelAttention:
+    # One window (k, d) or a stack (B, k, d) through a fresh kernel workspace.
+    att = ChannelAttention(*(project(stack, m.reshape(-1, *m.shape[-2:])) for m in (q, k, v)))
     att.forward()
     return att
-
-
-def channel_attention_vjp(att: ChannelAttention, dtotal: np.ndarray) -> np.ndarray:
-    """Gradients wrt the projected stacks as one array (3, B, C, n, d): dqp,
-    dkp and dvp in that order, given d(loss)/d(total) of shape (B, n, d).
-
-    The array is att.grads, which the next vjp through att overwrites.
-    """
-    if att.backward is None:
-        att.make_backward()
-    return att.backward(dtotal[:, None])
-
-
-def _channels(q, k, v, stack) -> ChannelAttention:
-    # One window (k, d) or a stack (B, k, d) through the kernel.
-    return channel_attention(*(project(stack, m.reshape(-1, *m.shape[-2:])) for m in (q, k, v)))
 
 
 def _like(a: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ Usage examples:
 
 Exit codes: 0 success, 1 runtime failure (including failed checks where the
 command promises it), 2 usage error. A file --out (projectors, dataset,
-train) that is a directory or whose directory does not exist is a usage
-error, found before any work.
+train) that is a directory or whose directory does not exist, and a
+directory --out (demo-dna) that exists as something else, are usage
+errors, found before any work.
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ def cmd_demo_dna(args) -> int:
             raise UsageError(f"symbol {ch!r} is not a DNA base (expected A, C, G or T)")
     if not 2 <= len(seq) <= MAX_K:
         raise UsageError(f"sequence must have 2 to {MAX_K} bases, got {len(seq)}")
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise UsageError(f"--out {args.out} exists and is not a directory")
     g = groups.mirror_group(len(seq))
     ps = irreps.projector_set(g)
     rng = Rng(args.seed)

@@ -326,13 +326,6 @@ class HomomorphismReport:
         return not self.violations
 
 
-def _products(src: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The composed mappings src[i][index[j]] (apply index[j] first) for every
-    row i of src and row j of index, as one (rows, len(index), degree) array
-    of src's dtype."""
-    return np.take(src, index, axis=1)
-
-
 def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
     """Check P(h1 h2) = P(h1) P(h2) for every pair, exactly.
 
@@ -355,7 +348,8 @@ def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
     bad = np.empty((n, n), dtype=bool)
     for start in range(0, n, cols):
         block = slice(start, start + cols)
-        bad[:, block] = (_products(narrow, perm[block]) != narrow[g.cayley[:, block]]).any(axis=2)
+        products = np.take(narrow, perm[block], axis=1)
+        bad[:, block] = (products != narrow[g.cayley[:, block]]).any(axis=2)
     violations = tuple(map(tuple, np.argwhere(bad).tolist()))
     return HomomorphismReport(pairs_checked=n * n, violations=violations)
 

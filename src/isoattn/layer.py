@@ -133,6 +133,8 @@ class WindowAttentionLayer:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         w_q, w_k, w_v, w_out = (np.array(w, dtype=np.float64) for w in (w_q, w_k, w_v, w_out))
+        if w_q.ndim != 2 or w_q.shape[0] < 1:
+            raise ValueError(f"w_q must be a d x d matrix with d >= 1, got shape {w_q.shape}")
         d = w_q.shape[0]
         for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v)):
             if w.shape != (d, d):

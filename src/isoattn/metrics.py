@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import channel_weights, project
+from .attention import ChannelAttention, project
 from .layer import EVAL_CHUNK
 from .numerics import stack_matrices
 from .synth import WindowSet
@@ -117,7 +117,9 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
         for start in range(0, len(windows), EVAL_CHUNK):
             px = project(ps.stack, windows[start:start + EVAL_CHUNK])
             qp, kp = px @ layer.w_q, px @ layer.w_k
-            wts = channel_weights(qp, kp)
+            att = ChannelAttention(qp, kp, kp)  # vp is not read
+            att.weigh()
+            wts = att.weights
             valid_rows = np.abs(qp).max(axis=-1) > _ZERO_ROW_TOL  # (B, C, k)
             valid_cols = np.abs(kp).max(axis=-1) > _ZERO_ROW_TOL
             row_masses = (wts * valid_cols[:, :, None, :]).sum(axis=-1)

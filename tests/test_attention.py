@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from isoattn.attention import (
+    ChannelAttention,
     attention,
-    channel_weights,
     decompose_post,
     decompose_pre,
     equivariance_error,
@@ -48,9 +48,20 @@ def test_window_one_returns_value():
 
 def test_channel_weights_row_stochastic():
     q, k, _ = seeded_qkv(3, 6, 8, 3.0)
-    w = channel_weights(q[None, None], k[None, None])[0, 0]
+    att = ChannelAttention(q[None, None], k[None, None], k[None, None])
+    att.weigh()
+    w = att.weights[0, 0]
     assert np.all(w >= 0)
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def test_channel_attention_rejects_bad_stacks():
+    good = np.zeros((2, 1, 4, 3))
+    for qp, kp, vp in ((good[:, 0], good[:, 0], good[:, 0]),
+                       (good, good[:, :, :3], good),
+                       (good, good, good[..., :2])):
+        with pytest.raises(ValueError, match=r"^ChannelAttention: expected equal \(B, C, n, d\)"):
+            ChannelAttention(qp, kp, vp)
 
 
 def test_attention_equivariant_under_reversal():

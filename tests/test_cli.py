@@ -358,6 +358,16 @@ def test_demo_dna_sequence_above_the_cap_is_a_usage_error(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["attn_sign.csv", "attn_trivial.csv"]
 
 
+def test_demo_dna_out_that_is_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Found before any work, like every other --out that cannot be used.
+    monkeypatch.setattr("isoattn.cli.irreps.projector_set", refuse)
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    code, text, err = run(capsys, "demo-dna", "ACGT", "--out", str(out))
+    assert (code, text, err) == (2, "", f"error: --out {out} exists and is not a directory\n")
+    assert out.read_text() == "kept\n"
+
+
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -20,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoattn.attention import (ChannelAttention, attention, channel_attention,
-                               channel_attention_vjp, decompose_post, decompose_pre,
+from isoattn.attention import (ChannelAttention, attention, decompose_post, decompose_pre,
                                equivariance_report, project)
 from isoattn.groups import from_descriptor, permute_rows
 from isoattn.irreps import ProjectorSet, projector_set
@@ -640,9 +639,11 @@ def test_kernel_on_wide_windows_is_the_transposed_copy_softmax_bit_for_bit(n, de
         qkv = project(stack, x).reshape(-1, d) @ rng.uniform(-1.0, 1.0, (d, 3 * d))
         qp, kp, vp = qkv.reshape(batch, -1, n, 3, d).transpose(3, 0, 1, 2, 4)
     dtotal = rng.uniform(-1.0, 1.0, (batch, n, d))
-    att = channel_attention(qp, kp, vp)
+    att = ChannelAttention(qp, kp, vp)
+    att.forward()
     wts, outputs, total, grads = copy_kernel(qp, kp, vp, dtotal)
     assert np.array_equal(att.weights, wts)
     assert np.array_equal(att.outputs, outputs)
     assert np.array_equal(att.total, total)
-    assert np.array_equal(channel_attention_vjp(att, dtotal), np.stack(grads))
+    att.make_backward()
+    assert np.array_equal(att.backward(dtotal[:, None]), np.stack(grads))

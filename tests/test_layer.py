@@ -8,8 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from isoattn.attention import (channel_attention, channel_attention_vjp, decompose_post,
-                               decompose_pre)
+from isoattn.attention import ChannelAttention, decompose_post, decompose_pre
 from isoattn.groups import mirror_group, permute_rows, trivial_group
 from isoattn.irreps import projector_set
 from isoattn.layer import (
@@ -110,6 +109,14 @@ def test_w_energy_shape_validation():
 def test_random_rejects_empty_dimensions(feature_dim, n_classes):
     with pytest.raises(ValueError, match="^random: need feature_dim >= 1 and n_classes == 1"):
         WindowAttentionLayer.random(Z2_K6, feature_dim, n_classes, "pre", Rng(0))
+
+
+def test_w_q_must_be_a_nonempty_matrix():
+    # A scalar has no rows to size the layer by; zero-width weights would
+    # build a layer whose forward cannot reshape its empty stacks.
+    for w in (5.0, np.zeros((0, 0))):
+        with pytest.raises(ValueError, match=r"^w_q must be a d x d matrix with d >= 1"):
+            WindowAttentionLayer(Z2_K6, w, w, w, np.zeros((1, 1)), "pre")
 
 
 def test_w_out_must_be_one_column():
@@ -314,9 +321,11 @@ def test_passes_are_freed_by_reference_counting_alone():
             assert [ref() for ref in refs] == [None, None]
 
             qp = np.stack([xs, xs])
-            att = channel_attention(qp, qp, qp)
+            att = ChannelAttention(qp, qp, qp)
+            att.forward()
             if backward:
-                channel_attention_vjp(att, xs)
+                att.make_backward()
+                att.backward(xs[:, None])
             ref = weakref.ref(att)
             del att
             assert ref() is None

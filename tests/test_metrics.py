@@ -196,7 +196,7 @@ def refuse_kernel(*args):
 def test_activation_mapping_rejects_bad_windows_by_set(which, case, monkeypatch):
     # Each set is checked against the layer's (k, d) and for finite features
     # before any kernel pass, in the list form too.
-    monkeypatch.setattr("isoattn.metrics.channel_weights", refuse_kernel)
+    monkeypatch.setattr("isoattn.metrics.ChannelAttention", refuse_kernel)
     lay = WindowAttentionLayer.random(projector_set(mirror_group(6)), 4, 1, "pre", Rng(72))
     good = Rng(73).uniform(-1.0, 1.0, (3, 6, 4))
     bad = {"rows": good[:, :5], "features": good[:, :, :3], "nan": good.copy()}[case]
