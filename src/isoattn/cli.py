@@ -12,10 +12,11 @@ Usage examples:
         --out metrics.jsonl
 
 Exit codes: 0 success, 1 runtime failure (including failed checks where the
-command promises it), 2 usage error. A file --out (projectors, dataset,
-train) that is a directory or whose directory does not exist, and a
-directory --out (demo-dna) that exists as something else, are usage
-errors, found before any work.
+command promises it), 2 usage error. An empty --out, a file --out
+(projectors, dataset, train) that is a directory or whose directory does
+not exist, and a directory --out (demo-dna) that exists as something else
+or cannot be made, are usage errors, found before any work: demo-dna makes
+its directory before it builds the group.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def _check_seed(seed: int) -> None:
 
 def _check_out(path: str) -> None:
     # A file --out that cannot be created is found before any work is done.
+    if not path:
+        raise UsageError("--out is empty")
     if os.path.isdir(path):
         raise UsageError(f"--out {path} is a directory")
     parent = os.path.dirname(path)
@@ -150,15 +153,20 @@ def cmd_demo_dna(args) -> int:
             raise UsageError(f"symbol {ch!r} is not a DNA base (expected A, C, G or T)")
     if not 2 <= len(seq) <= MAX_K:
         raise UsageError(f"sequence must have 2 to {MAX_K} bases, got {len(seq)}")
+    if not args.out:
+        raise UsageError("--out is empty")
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         raise UsageError(f"--out {args.out} exists and is not a directory")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: cannot make the directory ({exc.strerror})") from None
     g = groups.mirror_group(len(seq))
     ps = irreps.projector_set(g)
     rng = Rng(args.seed)
     lay = layer.WindowAttentionLayer.random(ps, 4, 1, "pre", rng)
     x = synth.encode_onehot(synth.text_to_symbols(seq, 4), 4)
     dec = decompose_pre(x @ lay.w_q, x @ lay.w_k, x @ lay.w_v, ps)
-    os.makedirs(args.out, exist_ok=True)
     _log(f"sequence {seq} window {len(seq)} group {g.descriptor}")
     for ch in dec.channels:
         norm = float(np.sqrt((ch.output * ch.output).sum()))
@@ -201,8 +209,7 @@ def cmd_train(args) -> int:
     lay = layer.WindowAttentionLayer.random(ps, spec.alphabet_size, 1, args.variant,
                                             Rng(args.seed).derive(2))
     cfg = layer.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                            seed=args.seed, batch_size=args.batch_size,
-                            task=spec.task)
+                            seed=args.seed, batch_size=args.batch_size)
     history = layer.train(lay, ds.train, ds.val, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in history:

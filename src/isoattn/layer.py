@@ -423,7 +423,7 @@ class TrainConfig:
     learning_rate: float
     seed: int
     batch_size: int = 1
-    # train never reads task; it stays because the CLI and bench/run.py pass it.
+    # train never reads task; it stays because bench/run.py passes it.
     task: str = ""
     tracker_trials: int = 2
 
@@ -458,19 +458,18 @@ def _evaluate(layer: WindowAttentionLayer, xs: np.ndarray,
     return math.fsum(np.concatenate(losses)) / len(xs), correct / len(xs)
 
 
-def _check_split(layer: WindowAttentionLayer, name: str, xs: np.ndarray,
-                 labels: np.ndarray) -> None:
-    """Reject a split that training cannot use, naming its first bad window."""
+def _check_windows(layer: WindowAttentionLayer, who: str, name: str, xs: np.ndarray) -> None:
+    """Reject a window stack the layer cannot attend over: empty, not (N, k, d)
+    for the layer's k and d, or with a non-finite feature. The ValueError
+    names the caller, the set and its first bad window."""
+    if not len(xs):
+        raise ValueError(f"{who}: no {name} windows")
     if xs.shape[1:] != (layer.window, layer.feature_dim):
-        raise ValueError(f"train: {name} windows must be {layer.window}x"
+        raise ValueError(f"{who}: {name} windows must be {layer.window}x"
                          f"{layer.feature_dim}, got {xs.shape[1:]}")
-    bad = np.flatnonzero((labels != 0) & (labels != 1))
-    if bad.size:
-        raise ValueError(f"train: {name} label at index {bad[0]} is "
-                         f"{labels[bad[0]]}, expected 0 or 1")
     bad = np.flatnonzero(~np.isfinite(xs).all(axis=(1, 2)))
     if bad.size:
-        raise ValueError(f"train: {name} window at index {bad[0]} has a non-finite feature")
+        raise ValueError(f"{who}: {name} window at index {bad[0]} has a non-finite feature")
 
 
 def _diverged(epoch: int, step: int, losses: np.ndarray, batch_size: int,
@@ -525,10 +524,12 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
         raise ValueError(f"train: tracker_trials must be >= 1, got {cfg.tracker_trials}")
     train_x, train_y = _as_arrays(train_data, "train")
     val_x, val_y = _as_arrays(val_data, "validation")
-    if not len(train_x) or not len(val_x):
-        raise ValueError("train: empty train or validation split")
-    _check_split(layer, "train", train_x, train_y)
-    _check_split(layer, "validation", val_x, val_y)
+    for name, xs, labels in (("train", train_x, train_y), ("validation", val_x, val_y)):
+        _check_windows(layer, "train", name, xs)
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise ValueError(f"train: {name} label at index {bad[0]} is "
+                             f"{labels[bad[0]]}, expected 0 or 1")
     train_px = layer._project(train_x)
 
     n, batch_size, params, lr = len(train_x), cfg.batch_size, layer.params, cfg.learning_rate

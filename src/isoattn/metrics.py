@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ChannelAttention, project
-from .layer import EVAL_CHUNK
-from .numerics import stack_matrices
+from .layer import EVAL_CHUNK, _check_windows
 from .synth import WindowSet
 
 _ZERO_ROW_TOL = 1e-12
@@ -70,33 +69,22 @@ class ActivationReport:
 
 def _features(windows):
     # A WindowSet's own features array as it is; windows or (k, d) matrices
-    # stacked, or an empty list.
+    # stacked into one float64 array, or an empty list.
     if isinstance(windows, WindowSet):
         return windows.features
     feats = [w.features if hasattr(w, "features") else w for w in windows]
-    return stack_matrices(feats) if feats else feats
-
-
-def _check_windows(layer, name: str, windows: np.ndarray) -> None:
-    """Reject a window set the layer cannot attend over, naming the set."""
-    shape = (layer.window, layer.feature_dim)
-    if windows.shape[1:] != shape:
-        raise ValueError(f"activation_mapping: {name} windows must be {shape[0]}x{shape[1]}, "
-                         f"got {windows.shape[1:]}")
-    bad = np.flatnonzero(~np.isfinite(windows).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError(f"activation_mapping: {name} window at index {bad[0]} has a "
-                         f"non-finite feature")
+    return np.asarray(np.stack(feats), dtype=np.float64) if feats else feats
 
 
 def activation_mapping(layer, motif_windows, background_windows) -> ActivationReport:
     """Per-channel attention mass on motif versus background windows.
 
     Each set is a synth.WindowSet, whose features array is read as it is, or
-    a sequence of windows or (k, d) feature matrices; that form and
-    numerics.stack_matrices stay only because bench/run.py passes lists.
-    Both sets are checked for the layer's (k, d) window shape and finite
-    features before any kernel pass; a bad set raises ValueError naming it.
+    a sequence of windows or (k, d) feature matrices, stacked with one
+    np.stack; that form stays only because bench/run.py passes lists. Both
+    sets are checked to be non-empty, of the layer's (k, d) window shape and
+    of finite features before any kernel pass; a bad set raises ValueError
+    naming it.
 
     Uses the pre-variant channel weights: each channel attends with
     softmax((Pq)(Pk)^T / sqrt(d)). Rows where the projected query vanishes
@@ -106,10 +94,8 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     back as None.
     """
     motifs, backgrounds = _features(motif_windows), _features(background_windows)
-    if not len(motifs) or not len(backgrounds):
-        raise ValueError("activation_mapping: both window sets must be non-empty")
-    _check_windows(layer, "motif", motifs)
-    _check_windows(layer, "background", backgrounds)
+    _check_windows(layer, "activation_mapping", "motif", motifs)
+    _check_windows(layer, "activation_mapping", "background", backgrounds)
     ps = layer.projectors
 
     def set_masses(windows: np.ndarray) -> list[float | None]:

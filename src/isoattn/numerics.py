@@ -23,18 +23,6 @@ def as_matrix(values) -> Matrix:
     return m
 
 
-def stack_matrices(items) -> np.ndarray:
-    """Stack equal-shape 2-D matrices into one (N, rows, cols) float64 array.
-
-    One np.stack makes the array; as_matrix's check runs once on their shape.
-    Kept for activation_mapping's lists, which bench/run.py passes.
-    """
-    m = np.asarray(np.stack(items), dtype=np.float64)
-    if m.ndim != 3 or 0 in m.shape[1:]:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape[1:]}")
-    return m
-
-
 def frobenius_sq(m) -> float:
     """Sum of squared entries (squared Frobenius norm)."""
     m = np.asarray(m, dtype=np.float64)

@@ -368,6 +368,19 @@ def test_demo_dna_out_that_is_a_file_is_a_usage_error(tmp_path, capsys, monkeypa
     assert out.read_text() == "kept\n"
 
 
+def test_demo_dna_out_that_cannot_be_made_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # An empty path, or a path under a regular file, is found before any work.
+    monkeypatch.setattr("isoattn.cli.irreps.projector_set", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    under = taken / "sub"
+    for out, message in (("", "--out is empty"),
+                         (under, f"--out {under}: cannot make the directory (Not a directory)")):
+        code, text, err = run(capsys, "demo-dna", "ACGT", "--out", str(out))
+        assert (code, text, err) == (2, "", f"error: {message}\n")
+    assert taken.read_text() == "kept\n"
+
+
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
@@ -378,12 +391,14 @@ def test_missing_command_is_usage_error(capsys):
                                      ["projectors", "--group", "mirror:6"]])
 def test_an_out_file_that_cannot_be_made_is_a_usage_error(command, tmp_path, capsys,
                                                           monkeypatch):
-    # Found before any work: a directory, or a path in a missing directory.
+    # Found before any work: a directory, a path in a missing directory, or
+    # an empty path.
     for name in ("isoattn.cli.synth.make_dataset", "isoattn.cli.irreps.projector_set"):
         monkeypatch.setattr(name, refuse)
     missing = tmp_path / "missing" / "m.jsonl"
     for out, message in ((tmp_path, f"--out {tmp_path} is a directory"),
-                         (missing, f"--out {missing}: no directory {missing.parent}")):
+                         (missing, f"--out {missing}: no directory {missing.parent}"),
+                         ("", "--out is empty")):
         code, text, err = run(capsys, *command, "--out", str(out))
         assert (code, text, err) == (2, "", f"error: {message}\n")
     assert not missing.parent.exists()

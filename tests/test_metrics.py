@@ -192,17 +192,34 @@ def refuse_kernel(*args):
 
 
 @pytest.mark.parametrize("which", ["motif", "background"])
-@pytest.mark.parametrize("case", ["rows", "features", "nan"])
+@pytest.mark.parametrize("case", ["rows", "features", "flat", "nan"])
 def test_activation_mapping_rejects_bad_windows_by_set(which, case, monkeypatch):
     # Each set is checked against the layer's (k, d) and for finite features
-    # before any kernel pass, in the list form too.
+    # before any kernel pass, in the list form too, where "flat" is a list of
+    # 1-D rows.
     monkeypatch.setattr("isoattn.metrics.ChannelAttention", refuse_kernel)
     lay = WindowAttentionLayer.random(projector_set(mirror_group(6)), 4, 1, "pre", Rng(72))
     good = Rng(73).uniform(-1.0, 1.0, (3, 6, 4))
-    bad = {"rows": good[:, :5], "features": good[:, :, :3], "nan": good.copy()}[case]
+    bad = {"rows": good[:, :5], "features": good[:, :, :3], "flat": good[:, 0],
+           "nan": good.copy()}[case]
     if case == "nan":
         bad[1, 2, 3] = np.nan
     sets = (bad, good) if which == "motif" else (good, bad)
     for form in (np.asarray, list):
         with pytest.raises(ValueError, match=f"activation_mapping: {which} window"):
             activation_mapping(lay, *(form(s) for s in sets))
+
+
+def test_activation_mapping_stacks_nested_lists_and_refuses_ragged_ones(monkeypatch):
+    # Nested-list matrices, of ints or floats, give the float array's report;
+    # a ragged list of matrices is refused before any kernel pass.
+    lay = WindowAttentionLayer.random(projector_set(mirror_group(6)), 4, 1, "pre", Rng(74))
+    good = Rng(75).uniform(-1.0, 1.0, (3, 6, 4))
+    ints = (good > 0).astype(int)
+    assert (activation_mapping(lay, good.tolist(), ints.tolist())
+            == activation_mapping(lay, good, ints.astype(np.float64)))
+    monkeypatch.setattr("isoattn.metrics.ChannelAttention", refuse_kernel)
+    ragged = [good[0], good[1, :5], good[2]]
+    for sets in ((ragged, good), (good, ragged)):
+        with pytest.raises(ValueError):
+            activation_mapping(lay, *sets)

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from isoattn.numerics import (
     rand_matrix,
     softmax_rows,
     softmax_rows_vjp,
-    stack_matrices,
 )
 
 
@@ -280,18 +278,6 @@ def test_softmax_single_long_row_equals_the_two_line_formula(n):
     # the two-line formula; inside a stack the same row is summed left to right.
     row = Rng(35).uniform(-5.0, 5.0, (1, n))
     assert np.array_equal(softmax_rows(row), two_line_softmax(row))
-
-
-def test_stack_matrices_stacks_once_and_keeps_the_matrix_check():
-    out = stack_matrices([[[1, 2]], np.array([[3.0, 4.0]])])
-    assert out.dtype == np.float64 and out.shape == (2, 1, 2)
-    assert np.array_equal(out, [[[1.0, 2.0]], [[3.0, 4.0]]])
-    for bad, shape in (([np.zeros(3), np.zeros(3)], "(3,)"),
-                       ([np.zeros((0, 2))], "(0, 2)"),
-                       ([np.zeros((2, 2, 2))], "(2, 2, 2)")):
-        with pytest.raises(ValueError, match=rf"^expected a non-empty 2-D matrix, got shape "
-                                             rf"{re.escape(shape)}$"):
-            stack_matrices(bad)
 
 
 def test_softmax_stack_validation():
