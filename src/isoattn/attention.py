@@ -28,9 +28,9 @@ by a forward and a backward bound once, as closures over them. It is the
 kernel's only entry, and it checks the stacks it is given. Every caller
 makes one and calls its bound passes: the attention functions below (which
 take one window or a stack) make a fresh one per call and run its forward,
-so nothing they return is overwritten by a later call;
-`metrics.activation_mapping` runs only its weigh; the layer's pass makes one
-over its own q/k/v block and runs its forward and backward.
+so nothing they return is overwritten by a later call; the layer's pass,
+which `metrics.activation_mapping` and `isoattn demo-dna` also run, makes
+one over its own q/k/v block and runs its forward and backward.
 """
 
 from __future__ import annotations
@@ -81,13 +81,13 @@ class ChannelAttention:
     (3, B, C, n, d). A later call through the same workspace overwrites
     them all.
 
-    The passes are bound once: weigh() writes the scores and the weights,
-    forward() weighs and then mixes the values and sums the channels, and
-    backward(dout), bound by make_backward, runs the vjp given
-    d(loss)/d(total) as a (B, 1, n, d) view and returns grads: dqp, dkp and
-    dvp in that order. Each is a closure over the arrays and views it reads
-    and writes, never over the workspace itself, so a workspace is freed by
-    reference counting alone.
+    The passes are bound once: forward() writes the scores and the weights,
+    then mixes the values and sums the channels, and backward(dout), bound
+    by make_backward, runs the vjp given d(loss)/d(total) as a
+    (B, 1, n, d) view and returns grads: dqp, dkp and dvp in that order.
+    Each is a closure over the arrays and views it reads and writes, never
+    over the workspace itself, so a workspace is freed by reference
+    counting alone.
     """
 
     def __init__(self, qp, kp, vp):
@@ -113,16 +113,13 @@ class ChannelAttention:
         weights_rows = weights.reshape(-1, n)
         matmul, divide, add_reduce = np.matmul, np.divide, np.add.reduce
 
-        def weigh() -> None:
+        def forward() -> None:
             matmul(kp, qp_t, out=scores_kq)
             divide(scores, scale, out=scores)
             softmax_columns(scores, weights_rows, finite, columns)
-
-        def forward() -> None:
-            weigh()
             matmul(weights, vp, out=outputs)
             add_reduce(outputs, 1, out=total)
-        self.weigh, self.forward = weigh, forward
+        self.forward = forward
 
     def make_backward(self) -> None:
         """Allocates the backward arrays and binds backward over them."""

@@ -166,15 +166,15 @@ def cmd_demo_dna(args) -> int:
     rng = Rng(args.seed)
     lay = layer.WindowAttentionLayer.random(ps, 4, 1, "pre", rng)
     x = synth.encode_onehot(synth.text_to_symbols(seq, 4), 4)
-    dec = decompose_pre(x @ lay.w_q, x @ lay.w_k, x @ lay.w_v, ps)
+    att = lay.forward(x)[1]["attention"]
     _log(f"sequence {seq} window {len(seq)} group {g.descriptor}")
-    for ch in dec.channels:
-        norm = float(np.sqrt((ch.output * ch.output).sum()))
-        path = os.path.join(args.out, f"attn_{ch.label}.csv")
+    for label, weights, output in zip(ps.labels, att.weights[0], att.outputs[0]):
+        norm = float(np.sqrt((output * output).sum()))
+        path = os.path.join(args.out, f"attn_{label}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            for row in ch.weights:
+            for row in weights:
                 fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-        _log(f"channel {ch.label} output-norm {norm:.6e} weights {path}")
+        _log(f"channel {label} output-norm {norm:.6e} weights {path}")
     return 0
 
 

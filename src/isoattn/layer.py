@@ -148,6 +148,8 @@ class WindowAttentionLayer:
             raise ValueError(f"w_energy must have shape {energy_shape}, got {w_energy.shape}")
         self.projectors = projectors
         self.variant = variant
+        # The stack the variant attends over: every channel for pre, else None.
+        self._stack = projectors.stack if variant == "pre" else None
         weights = (w_q, w_k, w_v, w_out, w_energy)
         ends = np.cumsum([w.size for w in weights])
         self._layout = tuple((slice(end - w.size, end), w.shape)
@@ -223,11 +225,10 @@ class WindowAttentionLayer:
         return x.reshape(-1, self.window, self.feature_dim)
 
     def _project(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The channel stack (B, C, k, d) of a window stack xs (B, k, d).
-        Projecting x before the weight maps is the same as projecting q, k
-        and v: P_c (x w) = (P_c x) w. The pre variant writes it into out
-        when given; the others return a view of xs."""
-        return project(self.projectors.stack if self.variant == "pre" else None, xs, out)
+        """The channel stack (B, C, k, d) of xs (B, k, d): written into out for
+        pre when given, else a view of xs. Projecting x projects q, k and v,
+        since P_c (x w) = (P_c x) w."""
+        return project(self._stack, xs, out)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Logits of one window (k, d), shape (1,), or of a stack (B, k, d),
@@ -239,7 +240,7 @@ class WindowAttentionLayer:
         Each call writes into a workspace of its own, which the cache holds,
         so a later call leaves the returned arrays as they are."""
         xs = self._windows(x)
-        ws = _Pass(self, len(xs))
+        ws = _Pass(self, len(xs), self._stack)
         px = self._project(xs, ws.px_buffer)
         logits = ws.forward(px)
         y, pooled, energy = ws.att.total, ws.pooled, ws.energy
@@ -281,18 +282,18 @@ class WindowAttentionLayer:
 
 
 class _Pass:
-    """Workspace of one forward and backward pass of a layer over B windows.
+    """Workspace of one forward and backward pass of a layer over B windows
+    attending over a projector stack (C, k, k), or over one unprojected
+    channel (C = 1) when the stack is None; the energies read every channel.
 
-    It makes every array the forward pass writes: for the pre variant, and
-    for train, which gathers its windows there, a (B, C, k, d) buffer of
-    projected windows, px_buffer (else None: px is a view of the input);
-    the q/k/v block (3, B C k, d), whose three contiguous slices are qp, kp
-    and vp; the kernel's ChannelAttention att on them; pooled, energy, the
-    products y y^T, the logits and one (B, 1) scratch. make_backward adds,
-    for train at once and else on the first backward pass, the BCE gradient
-    dlogits, d pooled and d energy as column views of one (B, d + C) array,
-    the energy term of dy, dy and the kernel's backward arrays. A pass
-    through it overwrites all of them.
+    It makes every array the forward pass writes: a (B, C, k, d) buffer of
+    projected windows, px_buffer; the q/k/v block (3, B C k, d), whose three
+    contiguous slices are qp, kp and vp; the kernel's ChannelAttention att
+    on them; pooled, energy, the products y y^T, the logits and one (B, 1)
+    scratch. make_backward, which train calls at once and backward on its
+    first pass, adds the BCE gradient dlogits, d pooled and d energy as
+    column views of one (B, d + C) array, the energy term of dy, dy and the
+    kernel's backward arrays. A pass through it overwrites all of them.
 
     The layer's math runs in two closures, bound once over these arrays and
     over the layer's weight views, which point into params, so an in-place
@@ -311,12 +312,12 @@ class _Pass:
     counting alone; backward reads the last px from a one-slot list.
     """
 
-    def __init__(self, layer: WindowAttentionLayer, b: int, train: bool = False):
+    def __init__(self, layer: WindowAttentionLayer, b: int, stack: np.ndarray | None):
         kwin, d = layer.window, layer.feature_dim
         e = len(layer.projectors.stack)
-        c = e if layer.variant == "pre" else 1
+        c = 1 if stack is None else len(stack)
         self.b, self.backward = b, None
-        self.px_buffer = np.empty((b, c, kwin, d)) if train or layer.variant == "pre" else None
+        self.px_buffer = np.empty((b, c, kwin, d))
         qkv = np.empty((3, b * c * kwin, d))
         qp, kp, vp = qkv.reshape(3, b, c, kwin, d)
         self.att = att = ChannelAttention(qp, kp, vp)
@@ -349,8 +350,6 @@ class _Pass:
             dot(energy, w_energy, out=scratch)
             return add(logits, scratch, out=logits)
         self.forward = forward
-        if train:
-            self.make_backward(layer)
 
     def make_backward(self, layer: WindowAttentionLayer) -> None:
         att, px_rows = self.att, self._px_rows
@@ -522,6 +521,8 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
         raise ValueError(f"train: batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.tracker_trials < 1:
         raise ValueError(f"train: tracker_trials must be >= 1, got {cfg.tracker_trials}")
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate >= 0):
+        raise ValueError(f"train: learning_rate must be finite and >= 0, got {cfg.learning_rate}")
     train_x, train_y = _as_arrays(train_data, "train")
     val_x, val_y = _as_arrays(val_data, "validation")
     for name, xs, labels in (("train", train_x, train_y), ("validation", val_x, val_y)):
@@ -540,8 +541,10 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     grad, update = np.empty_like(params), np.empty_like(params)
     grad_views = layer._grad_views(grad)
     logits = np.empty((n, 1))
-    full = _Pass(layer, min(batch_size, n), train=True)
-    tail = _Pass(layer, n % batch_size, train=True) if n > batch_size and n % batch_size else full
+    full = _Pass(layer, min(batch_size, n), layer._stack)
+    tail = _Pass(layer, n % batch_size, layer._stack) if n > batch_size and n % batch_size else full
+    for ws in {full, tail}:
+        ws.make_backward(layer)
     shuffle_rng = Rng(cfg.seed).derive(1)
     history = []
     # Diverging weights overflow long before the kernel's softmax rejects

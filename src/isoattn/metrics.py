@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ChannelAttention, project
-from .layer import EVAL_CHUNK, _check_windows
+from .attention import project
+from .layer import EVAL_CHUNK, _check_windows, _Pass
 from .synth import WindowSet
 
 _ZERO_ROW_TOL = 1e-12
@@ -86,12 +86,13 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     of finite features before any kernel pass; a bad set raises ValueError
     naming it.
 
-    Uses the pre-variant channel weights: each channel attends with
-    softmax((Pq)(Pk)^T / sqrt(d)). Rows where the projected query vanishes
-    carry no channel signal and are excluded, and the mass of a surviving row
-    is the attention it pays to columns whose projected key survives; windows
-    with no valid rows are excluded; channels degenerate on a whole set come
-    back as None.
+    Whatever the layer's variant, one layer pass over every channel per
+    EVAL_CHUNK windows gives the pre-variant weights softmax((Pq)(Pk)^T /
+    sqrt(d)). Rows where the projected query vanishes carry no channel
+    signal and are excluded, and the mass of a surviving row is the
+    attention it pays to columns whose projected key survives; windows with
+    no valid rows are excluded; channels degenerate on a whole set come back
+    as None.
     """
     motifs, backgrounds = _features(motif_windows), _features(background_windows)
     _check_windows(layer, "activation_mapping", "motif", motifs)
@@ -100,12 +101,10 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
 
     def set_masses(windows: np.ndarray) -> list[float | None]:
         masses, counted = [], []
-        for start in range(0, len(windows), EVAL_CHUNK):
-            px = project(ps.stack, windows[start:start + EVAL_CHUNK])
-            qp, kp = px @ layer.w_q, px @ layer.w_k
-            att = ChannelAttention(qp, kp, kp)  # vp is not read
-            att.weigh()
-            wts = att.weights
+        for chunk in np.split(windows, range(EVAL_CHUNK, len(windows), EVAL_CHUNK)):
+            ws = _Pass(layer, len(chunk), ps.stack)
+            ws.forward(project(ps.stack, chunk, ws.px_buffer))
+            qp, kp, wts = ws.att.qp, ws.att.kp, ws.att.weights
             valid_rows = np.abs(qp).max(axis=-1) > _ZERO_ROW_TOL  # (B, C, k)
             valid_cols = np.abs(kp).max(axis=-1) > _ZERO_ROW_TOL
             row_masses = (wts * valid_cols[:, :, None, :]).sum(axis=-1)

@@ -49,7 +49,7 @@ def test_window_one_returns_value():
 def test_channel_weights_row_stochastic():
     q, k, _ = seeded_qkv(3, 6, 8, 3.0)
     att = ChannelAttention(q[None, None], k[None, None], k[None, None])
-    att.weigh()
+    att.forward()
     w = att.weights[0, 0]
     assert np.all(w >= 0)
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12

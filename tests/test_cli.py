@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
 import hashlib
+import itertools
 import json
 import os
 import warnings
@@ -8,9 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+from isoattn.attention import decompose_pre
 from isoattn.cli import main
-from isoattn.groups import cyclic_group
+from isoattn.groups import cyclic_group, mirror_group
 from isoattn.irreps import load_projectors, projector_set
+from isoattn.layer import WindowAttentionLayer
+from isoattn.numerics import Rng
+from isoattn.synth import encode_onehot, text_to_symbols
 
 
 def run(capsys, *argv):
@@ -150,6 +155,61 @@ def test_demo_dna_rejects_non_base(tmp_path, capsys):
     code, _, err = run(capsys, "demo-dna", "AXG", "--out", str(tmp_path / "d"))
     assert code == 2
     assert "'X'" in err
+
+
+def demo_layer(n, seed=0):
+    """The projector set and layer demo-dna builds for n bases and a seed."""
+    ps = projector_set(mirror_group(n))
+    return ps, WindowAttentionLayer.random(ps, 4, 1, "pre", Rng(seed))
+
+
+def hand_mapped_demo(seq, out):
+    """The lines and CSV texts demo-dna wrote before it ran the layer's pass:
+    decompose_pre of the window mapped by hand through w_q, w_k and w_v."""
+    ps, lay = demo_layer(len(seq))
+    x = encode_onehot(text_to_symbols(seq, 4), 4)
+    dec = decompose_pre(x @ lay.w_q, x @ lay.w_k, x @ lay.w_v, ps)
+    lines, files = [f"sequence {seq} window {len(seq)} group {ps.group.descriptor}"], {}
+    for ch in dec.channels:
+        norm = float(np.sqrt((ch.output * ch.output).sum()))
+        path = os.path.join(out, f"attn_{ch.label}.csv")
+        files[path] = "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                              for row in ch.weights)
+        lines.append(f"channel {ch.label} output-norm {norm:.6e} weights {path}")
+    return lines, files
+
+
+def test_demo_dna_channels_are_decompose_pre_of_the_hand_mapped_window():
+    # Every sequence of 2 to 6 bases, and seeded random ones up to the cap:
+    # the channels of the layer's forward pass, which demo-dna prints and
+    # writes, are decompose_pre of x w_q, x w_k and x w_v, bit for bit.
+    rng = Rng(90)
+    seqs = ["".join(p) for n in range(2, 7) for p in itertools.product("ACGT", repeat=n)]
+    seqs += ["".join("ACGT"[s] for s in rng.integers(4, int(n)))
+             for n in rng.integers(119, 40) + 2]
+    layers = {}
+    for seq in seqs:
+        if len(seq) not in layers:
+            layers[len(seq)] = demo_layer(len(seq))
+        ps, lay = layers[len(seq)]
+        x = encode_onehot(text_to_symbols(seq, 4), 4)
+        att = lay.forward(x)[1]["attention"]
+        dec = decompose_pre(x @ lay.w_q, x @ lay.w_k, x @ lay.w_v, ps)
+        assert len(dec.channels) == att.weights.shape[1]
+        for weights, output, ch in zip(att.weights[0], att.outputs[0], dec.channels):
+            assert np.array_equal(weights, ch.weights) and np.array_equal(output, ch.output)
+
+
+def test_demo_dna_writes_what_the_hand_mapped_path_wrote(tmp_path, capsys):
+    out = str(tmp_path / "demo")
+    code, text, err = run(capsys, "demo-dna", "GAATTCAGT", "--out", out)
+    lines, files = hand_mapped_demo("GAATTCAGT", out)
+    assert (code, err) == (0, "")
+    assert text.splitlines() == lines
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(path) for path in files)
+    for path, csv in files.items():
+        with open(path, "rb") as fh:
+            assert fh.read() == csv.encode("utf-8")
 
 
 def test_dataset_export_is_deterministic(tmp_path, capsys):

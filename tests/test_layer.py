@@ -268,6 +268,13 @@ def test_backward_rejects_stale_cache():
         lay_b.backward(cache, np.ones(1))
 
 
+def _train_pass(lay, b):
+    """A pass over b windows with its backward bound, made as train makes one."""
+    ws = _Pass(lay, b, lay._stack)
+    ws.make_backward(lay)
+    return ws
+
+
 def _pass_results(lay, ws, xs, dlogits):
     """Logits and flat weight gradient of one forward and backward through ws."""
     logits = ws.forward(lay._project(xs, ws.px_buffer)).copy()
@@ -284,12 +291,12 @@ def test_a_pass_sees_in_place_weight_edits(variant):
     rng = Rng(70)
     xs, dlogits = rng.uniform(-1.0, 1.0, (3, 6, 4)), rng.uniform(-1.0, 1.0, (3, 1))
     lay = small_layer(variant, seed=71)
-    made_before = _Pass(lay, 3, train=True)
-    before = _pass_results(lay, _Pass(lay, 3, train=True), xs, dlogits)
+    made_before = _train_pass(lay, 3)
+    before = _pass_results(lay, _train_pass(lay, 3), xs, dlogits)
     lay.w_q[...] = rand_matrix(rng, 4, 4, 1.0)
     lay.params[...] *= 0.75
     lay.params[-lay.w_energy.size:] = rng.uniform(-1.0, 1.0, lay.w_energy.size)
-    after = _pass_results(lay, _Pass(lay, 3, train=True), xs, dlogits)
+    after = _pass_results(lay, _train_pass(lay, 3), xs, dlogits)
     assert _pass_results(lay, made_before, xs, dlogits) == after
     assert after[0] != before[0] and after[1] != before[1]
 
@@ -304,7 +311,7 @@ def test_passes_are_freed_by_reference_counting_alone():
     gc.disable()
     try:
         for backward in (False, True):
-            ws = _Pass(lay, 2)
+            ws = _Pass(lay, 2, lay._stack)
             ws.forward(lay._project(xs, ws.px_buffer))
             if backward:
                 ws.make_backward(lay)
@@ -536,6 +543,17 @@ def test_train_rejects_bad_window_shape_and_tracker_trials():
     assert "validation windows must be 4x4" in train_rejection(ds.train, val)
     cfg = TrainConfig(epochs=1, learning_rate=0.5, seed=3, tracker_trials=0)
     assert "tracker_trials" in train_rejection(ds.train, ds.val, cfg)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -1.0])
+def test_train_rejects_a_non_finite_or_negative_learning_rate(lr):
+    # The rule `isoattn train --lr` applies, checked before any step: one step
+    # at a NaN or infinite rate makes the weights NaN, and a negative rate
+    # climbs the loss.
+    ds = small_dataset()
+    cfg = TrainConfig(epochs=1, learning_rate=lr, seed=3)
+    assert train_rejection(ds.train, ds.val, cfg) == \
+        f"train: learning_rate must be finite and >= 0, got {lr}"
 
 
 def test_train_takes_a_window_set_or_an_array_pair_only():

@@ -7,11 +7,13 @@ calls it once per epoch.
 import numpy as np
 import pytest
 
-from isoattn.attention import equivariance_report
-from isoattn.groups import mirror_group, trivial_group
+from isoattn.attention import ChannelAttention, equivariance_report, project
+from isoattn.groups import from_descriptor, mirror_group, trivial_group
 from isoattn.irreps import projector_set
-from isoattn.layer import WindowAttentionLayer
+from isoattn.layer import EVAL_CHUNK, VARIANTS, WindowAttentionLayer
 from isoattn.metrics import (
+    ActivationReport,
+    ActivationRow,
     accuracy,
     activation_mapping,
     f1,
@@ -197,7 +199,7 @@ def test_activation_mapping_rejects_bad_windows_by_set(which, case, monkeypatch)
     # Each set is checked against the layer's (k, d) and for finite features
     # before any kernel pass, in the list form too, where "flat" is a list of
     # 1-D rows.
-    monkeypatch.setattr("isoattn.metrics.ChannelAttention", refuse_kernel)
+    monkeypatch.setattr("isoattn.metrics._Pass", refuse_kernel)
     lay = WindowAttentionLayer.random(projector_set(mirror_group(6)), 4, 1, "pre", Rng(72))
     good = Rng(73).uniform(-1.0, 1.0, (3, 6, 4))
     bad = {"rows": good[:, :5], "features": good[:, :, :3], "flat": good[:, 0],
@@ -218,8 +220,60 @@ def test_activation_mapping_stacks_nested_lists_and_refuses_ragged_ones(monkeypa
     ints = (good > 0).astype(int)
     assert (activation_mapping(lay, good.tolist(), ints.tolist())
             == activation_mapping(lay, good, ints.astype(np.float64)))
-    monkeypatch.setattr("isoattn.metrics.ChannelAttention", refuse_kernel)
+    monkeypatch.setattr("isoattn.metrics._Pass", refuse_kernel)
     ragged = [good[0], good[1, :5], good[2]]
     for sets in ((ragged, good), (good, ragged)):
         with pytest.raises(ValueError):
             activation_mapping(lay, *sets)
+
+
+def hand_mapped_activation(layer, motifs, backgrounds):
+    """activation_mapping as it was written before it ran the layer's pass:
+    the windows projected, then mapped by hand through w_q and w_k, and only
+    the weights of a ChannelAttention on them read. Takes window stacks."""
+    ps = layer.projectors
+
+    def set_masses(windows):
+        masses, counted = [], []
+        for start in range(0, len(windows), EVAL_CHUNK):
+            px = project(ps.stack, windows[start:start + EVAL_CHUNK])
+            qp, kp = px @ layer.w_q, px @ layer.w_k
+            att = ChannelAttention(qp, kp, kp)
+            att.forward()
+            wts = att.weights
+            valid_rows = np.abs(qp).max(axis=-1) > 1e-12
+            valid_cols = np.abs(kp).max(axis=-1) > 1e-12
+            row_masses = (wts * valid_cols[:, :, None, :]).sum(axis=-1)
+            n_rows = valid_rows.sum(axis=-1)
+            masses.append((row_masses * valid_rows).sum(axis=-1) / np.maximum(n_rows, 1))
+            counted.append((n_rows > 0) & valid_cols.any(axis=-1))
+        masses, counted = np.concatenate(masses), np.concatenate(counted)
+        return [float(masses[counted[:, c], c].mean()) if counted[:, c].any() else None
+                for c in range(len(ps.stack))]
+
+    rows = []
+    for label, motif, background in zip(ps.labels, set_masses(motifs), set_masses(backgrounds)):
+        ratio = None if motif is None or background is None else motif / max(background, 1e-12)
+        rows.append(ActivationRow(label, motif, background, ratio))
+    return ActivationReport(rows=tuple(rows))
+
+
+@pytest.mark.parametrize("desc", ["mirror:6", "cyclic:12", "dihedral:12", "symmetric:4"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_activation_mapping_is_the_hand_mapped_computation_bit_for_bit(desc, variant):
+    # Set sizes around the EVAL_CHUNK boundary, one-hot windows half of which
+    # are palindromes (whose odd channels vanish) and the WindowSet and list
+    # forms of each set.
+    ps = projector_set(from_descriptor(desc))
+    lay = WindowAttentionLayer.random(ps, 4, 1, variant, Rng(80))
+    rng = Rng(81)
+    sizes = (1, 63, 64, 65, 130)
+    for n, other in zip(sizes, sizes[::-1]):
+        sets = []
+        for size in (n, other):
+            symbols = rng.integers(4, (size, ps.window))
+            symbols[::2] = np.maximum(symbols[::2], symbols[::2, ::-1])
+            sets.append(WindowSet(symbols, 4, np.zeros(size, dtype=int), [""] * size))
+        want = hand_mapped_activation(lay, *(s.features for s in sets))
+        assert activation_mapping(lay, *sets) == want
+        assert activation_mapping(lay, *(list(s) for s in sets)) == want
