@@ -28,9 +28,9 @@ by a forward and a backward bound once, as closures over them. It is the
 kernel's only entry, and it checks the stacks it is given. Every caller
 makes one and calls its bound passes: the attention functions below (which
 take one window or a stack) make a fresh one per call and run its forward,
-so nothing they return is overwritten by a later call; the layer's pass,
-which `metrics.activation_mapping` and `isoattn demo-dna` also run, makes
-one over its own q/k/v block and runs its forward and backward.
+so nothing they return is overwritten by a later call; the layer's pass
+makes one over its own q/k/v block and runs its forward and backward, or
+its window map alone (`isoattn check`, `metrics.activation_mapping`).
 """
 
 from __future__ import annotations

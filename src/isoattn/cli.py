@@ -11,6 +11,9 @@ Usage examples:
     isoattn train --task palindrome --variant pre --k 6 --epochs 20 --lr 0.05 \
         --out metrics.jsonl
 
+check tests the window map of a layer of the chosen variant whose w_q,
+w_k and w_v are three random --dim square matrices.
+
 Exit codes: 0 success, 1 runtime failure (including failed checks where the
 command promises it), 2 usage error. An empty --out, a file --out
 (projectors, dataset, train) that is a directory or whose directory does
@@ -29,7 +32,7 @@ import sys
 import numpy as np
 
 from . import groups, irreps, layer, synth
-from .attention import attention, decompose_post, decompose_pre, equivariance_report
+from .attention import equivariance_report
 from .numerics import Rng, rand_matrix
 
 CHECK_TOL = 1e-10
@@ -125,16 +128,8 @@ def cmd_check(args) -> int:
     wq = rand_matrix(rng, args.dim, args.dim, 1.0)
     wk = rand_matrix(rng, args.dim, args.dim, 1.0)
     wv = rand_matrix(rng, args.dim, args.dim, 1.0)
-
-    def fn(x):
-        q, k, v = x @ wq, x @ wk, x @ wv
-        if args.variant == "baseline":
-            return attention(q, k, v)
-        if args.variant == "pre":
-            return decompose_pre(q, k, v, ps).total
-        return decompose_post(q, k, v, ps).total
-
-    report = equivariance_report(fn, g, args.dim, args.trials, rng)
+    lay = layer.WindowAttentionLayer(ps, wq, wk, wv, np.zeros((args.dim, 1)), args.variant)
+    report = equivariance_report(lay.window_map, g, args.dim, args.trials, rng)
     _log(f"group {g.descriptor} variant {args.variant} trials {args.trials}")
     _log(f"max {report.max_error:.3e}")
     _log(f"mean {report.mean_error:.3e}")

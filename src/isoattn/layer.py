@@ -37,6 +37,7 @@ This is checked in the tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,21 +215,20 @@ class WindowAttentionLayer:
         d = self.feature_dim
         return (flat[:3 * d * d].reshape(3, d, d),) + self._split(flat)[3:]
 
-    def _windows(self, x) -> np.ndarray:
-        """One window (k, d) or a stack (B, k, d), checked, as a float64
-        stack (B, k, d)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-2:] != (self.window, self.feature_dim) or x.ndim not in (2, 3) \
-                or x.shape[0] < 1:
-            raise ValueError(f"forward: expected {self.window}x{self.feature_dim} windows, "
-                             f"got shape {x.shape}")
-        return x.reshape(-1, self.window, self.feature_dim)
-
-    def _project(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The channel stack (B, C, k, d) of xs (B, k, d): written into out for
-        pre when given, else a view of xs. Projecting x projects q, k and v,
-        since P_c (x w) = (P_c x) w."""
-        return project(self._stack, xs, out)
+    def _pass(self, x, who: str) -> tuple[_Pass, np.ndarray, bool]:
+        """A fresh pass over one window (k, d) or a stack (B, k, d), checked for
+        who; its channel stack px (P_c (x w) = (P_c x) w, so projecting x
+        projects q, k and v); and whether x was one window."""
+        xs = np.asarray(x, dtype=np.float64)
+        one = xs.ndim == 2
+        if one:
+            xs = xs[None]
+        if xs.ndim != 3:
+            raise ValueError(f"{who}: expected one {self.window}x{self.feature_dim} window "
+                             f"or a stack of them, got shape {xs.shape}")
+        _check_windows(self, who, "input", xs)
+        ws = _Pass(self, len(xs), self._stack)
+        return ws, project(self._stack, xs, ws.px_buffer), one
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Logits of one window (k, d), shape (1,), or of a stack (B, k, d),
@@ -239,21 +239,21 @@ class WindowAttentionLayer:
 
         Each call writes into a workspace of its own, which the cache holds,
         so a later call leaves the returned arrays as they are."""
-        xs = self._windows(x)
-        ws = _Pass(self, len(xs), self._stack)
-        px = self._project(xs, ws.px_buffer)
+        ws, px, one = self._pass(x, "forward")
         logits = ws.forward(px)
         y, pooled, energy = ws.att.total, ws.pooled, ws.energy
-        if np.ndim(x) == 2:
+        if one:
             logits, y, pooled, energy = logits[0], y[0], pooled[0], energy[0]
         cache = {"layer": self, "px": px, "attention": ws.att, "y": y, "pooled": pooled,
                  "energy": energy, "workspace": ws}
         return logits, cache
 
     def window_map(self, x) -> Matrix:
-        """The pre-pooling window-to-window map, forward's y; equivariant for
-        all variants."""
-        return self.forward(x)[1]["y"]
+        """Forward's y, the pre-pooling window map, run without the head;
+        equivariant for all variants."""
+        ws, px, one = self._pass(x, "window_map")
+        y = ws.window_map(px)
+        return y[0] if one else y
 
     def backward(self, cache: dict, dlogits) -> dict[str, Matrix]:
         """Gradients of the five weight matrices given d(loss)/d(logits),
@@ -295,12 +295,13 @@ class _Pass:
     column views of one (B, d + C) array, the energy term of dy, dy and the
     kernel's backward arrays. A pass through it overwrites all of them.
 
-    The layer's math runs in two closures, bound once over these arrays and
-    over the layer's weight views, which point into params, so an in-place
-    update of the weights reaches them:
+    The layer's math runs in three closures, bound once over these arrays
+    and over the layer's weight views, which point into params, so an
+    in-place update of the weights reaches them:
 
-        forward(px)     px through the (3, d, d) block of w_q, w_k and w_v,
-                        the kernel's bound forward, pooling, energies and
+        window_map(px)  px through the (3, d, d) block of w_q, w_k and w_v
+                        and the kernel's bound forward; returns y (B, k, d)
+        forward(px)     window_map, then the head: pooling, energies and
                         logits; returns the logits (B, 1)
         backward(out)   bound by make_backward: writes the five weight
                         gradients, summed over the B windows, into out (the
@@ -335,13 +336,17 @@ class _Pass:
         dot, matmul = np.dot, np.matmul
         add, divide, add_reduce = np.add, np.divide, np.add.reduce
 
-        def forward(px: np.ndarray) -> np.ndarray:
+        def window_map(px: np.ndarray) -> np.ndarray:
             # One stacked product (B C k, d) @ (3, d, d) maps px through w_q,
             # w_k and w_v into the q/k/v block.
             rows = px.reshape(-1, d)
             matmul(rows, qkv_weights, out=qkv)
             px_rows[0] = rows
             kernel_forward()
+            return y
+
+        def forward(px: np.ndarray) -> np.ndarray:
+            window_map(px)
             add_reduce(y, 1, out=pooled)
             divide(pooled, kwin_f, out=pooled)
             matmul(y, y_t, out=yy)
@@ -349,7 +354,7 @@ class _Pass:
             dot(pooled, w_out, out=logits)
             dot(energy, w_energy, out=scratch)
             return add(logits, scratch, out=logits)
-        self.forward = forward
+        self.window_map, self.forward = window_map, forward
 
     def make_backward(self, layer: WindowAttentionLayer) -> None:
         att, px_rows = self.att, self._px_rows
@@ -515,12 +520,10 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
     non-finite attention scores are caught by the kernel's softmax check,
     whose message the error carries.
     """
-    if cfg.epochs < 1:
-        raise ValueError(f"train: epochs must be >= 1, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise ValueError(f"train: batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.tracker_trials < 1:
-        raise ValueError(f"train: tracker_trials must be >= 1, got {cfg.tracker_trials}")
+    for name in ("epochs", "batch_size", "tracker_trials"):
+        value = getattr(cfg, name)
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"train: {name} must be an integer >= 1, got {value!r}")
     if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate >= 0):
         raise ValueError(f"train: learning_rate must be finite and >= 0, got {cfg.learning_rate}")
     train_x, train_y = _as_arrays(train_data, "train")
@@ -531,7 +534,7 @@ def train(layer: WindowAttentionLayer, train_data, val_data,
         if bad.size:
             raise ValueError(f"train: {name} label at index {bad[0]} is "
                              f"{labels[bad[0]]}, expected 0 or 1")
-    train_px = layer._project(train_x)
+    train_px = project(layer._stack, train_x)
 
     n, batch_size, params, lr = len(train_x), cfg.batch_size, layer.params, cfg.learning_rate
     # Every step writes its gradient into the same buffer, laid out like params,

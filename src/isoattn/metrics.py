@@ -86,13 +86,13 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
     of finite features before any kernel pass; a bad set raises ValueError
     naming it.
 
-    Whatever the layer's variant, one layer pass over every channel per
-    EVAL_CHUNK windows gives the pre-variant weights softmax((Pq)(Pk)^T /
-    sqrt(d)). Rows where the projected query vanishes carry no channel
-    signal and are excluded, and the mass of a surviving row is the
-    attention it pays to columns whose projected key survives; windows with
-    no valid rows are excluded; channels degenerate on a whole set come back
-    as None.
+    Whatever the layer's variant, the layer pass's window map, run alone
+    over every channel per EVAL_CHUNK windows, gives the pre-variant weights
+    softmax((Pq)(Pk)^T / sqrt(d)). Rows where the projected query vanishes
+    carry no channel signal and are excluded, and the mass of a surviving
+    row is the attention it pays to columns whose projected key survives;
+    windows with no valid rows are excluded; channels degenerate on a whole
+    set come back as None.
     """
     motifs, backgrounds = _features(motif_windows), _features(background_windows)
     _check_windows(layer, "activation_mapping", "motif", motifs)
@@ -103,7 +103,7 @@ def activation_mapping(layer, motif_windows, background_windows) -> ActivationRe
         masses, counted = [], []
         for chunk in np.split(windows, range(EVAL_CHUNK, len(windows), EVAL_CHUNK)):
             ws = _Pass(layer, len(chunk), ps.stack)
-            ws.forward(project(ps.stack, chunk, ws.px_buffer))
+            ws.window_map(project(ps.stack, chunk, ws.px_buffer))
             qp, kp, wts = ws.att.qp, ws.att.kp, ws.att.weights
             valid_rows = np.abs(qp).max(axis=-1) > _ZERO_ROW_TOL  # (B, C, k)
             valid_cols = np.abs(kp).max(axis=-1) > _ZERO_ROW_TOL

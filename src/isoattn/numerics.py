@@ -7,6 +7,8 @@ relies on, so callers can assume clean inputs after any public call.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Public alias used in signatures: a 2-D float64 ndarray.
@@ -123,10 +125,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        seed = int(seed)
-        if not 0 <= seed <= _UINT64_MAX:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _UINT64_MAX):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        self.seed = seed = int(seed)
         self._path = _path
         ss = np.random.SeedSequence(entropy=seed, spawn_key=_path)
         self._gen = np.random.Generator(np.random.Philox(ss))

@@ -9,12 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from isoattn.attention import decompose_pre
+from isoattn.attention import attention, decompose_post, decompose_pre, equivariance_report
 from isoattn.cli import main
-from isoattn.groups import cyclic_group, mirror_group
+from isoattn.groups import cyclic_group, from_descriptor, mirror_group
 from isoattn.irreps import load_projectors, projector_set
 from isoattn.layer import WindowAttentionLayer
-from isoattn.numerics import Rng
+from isoattn.numerics import Rng, rand_matrix
 from isoattn.synth import encode_onehot, text_to_symbols
 
 
@@ -114,6 +114,73 @@ def test_check_passes_for_post(capsys):
                        "--trials", "50", "--variant", "post")
     assert code == 0
     assert "equivariance ok" in out
+
+
+def hand_built_check(desc, dim, trials, seed, variant):
+    """The stdout `check` printed when it mapped q/k/v by hand: the window
+    projected after the weights, through the attention functions."""
+    g = from_descriptor(desc)
+    ps = projector_set(g)
+    rng = Rng(seed)
+    wq, wk, wv = (rand_matrix(rng, dim, dim, 1.0) for _ in range(3))
+
+    def fn(x):
+        q, k, v = x @ wq, x @ wk, x @ wv
+        if variant == "baseline":
+            return attention(q, k, v)
+        if variant == "pre":
+            return decompose_pre(q, k, v, ps).total
+        return decompose_post(q, k, v, ps).total
+
+    report = equivariance_report(fn, g, dim, trials, rng)
+    return (f"group {g.descriptor} variant {variant} trials {trials}\n"
+            f"max {report.max_error:.3e}\nmean {report.mean_error:.3e}\n"
+            "equivariance ok (below 1e-10)\n")
+
+
+CHECK_GROUPS = ("cyclic:2", "cyclic:5", "mirror:6", "dihedral:2", "dihedral:4", "symmetric:3",
+                "symmetric:4")
+
+
+@pytest.mark.parametrize("desc", CHECK_GROUPS)
+@pytest.mark.parametrize("variant", ["baseline", "post"])
+def test_check_prints_what_the_hand_built_map_printed(desc, variant, capsys):
+    # baseline and post attend without projecting, so the layer's map is the
+    # hand-built one and the lines are the same.
+    code, out, _ = run(capsys, "check", "--group", desc, "--dim", "5", "--trials", "3",
+                       "--seed", "11", "--variant", variant)
+    assert code == 0
+    assert out == hand_built_check(desc, 5, 3, 11, variant)
+
+
+@pytest.mark.parametrize("desc", CHECK_GROUPS)
+@pytest.mark.parametrize("variant", ["baseline", "pre", "post"])
+def test_check_reports_on_the_layer_window_map(desc, variant, capsys, monkeypatch):
+    reports = []
+
+    def kept(*args):
+        reports.append(equivariance_report(*args))
+        return reports[-1]
+    monkeypatch.setattr("isoattn.cli.equivariance_report", kept)
+    assert run(capsys, "check", "--group", desc, "--dim", "5", "--trials", "3",
+               "--seed", "12", "--variant", variant)[0] == 0
+    g = from_descriptor(desc)
+    rng = Rng(12)
+    weights = [rand_matrix(rng, 5, 5, 1.0) for _ in range(3)]
+    lay = WindowAttentionLayer(projector_set(g), *weights, np.zeros((5, 1)), variant)
+    assert reports == [equivariance_report(lay.window_map, g, 5, 3, rng)]
+
+
+def test_check_fails_on_a_map_that_is_not_equivariant(capsys, monkeypatch):
+    # A bias that differs from row to row does not move with the rows.
+    original = WindowAttentionLayer.window_map
+
+    def row_biased(self, x):
+        return original(self, x) + np.arange(self.window)[:, None]
+    monkeypatch.setattr(WindowAttentionLayer, "window_map", row_biased)
+    code, out, _ = run(capsys, "check", "--group", "dihedral:4", "--dim", "4", "--trials", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "equivariance FAILED (at or above 1e-10)"
 
 
 def test_check_rejects_zero_trials(capsys):

@@ -223,6 +223,17 @@ def test_single_window_is_the_batch_of_one(case):
         assert np.array_equal(grads[name], batch_grads[name])
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("count", [1, 5, 64, 65])
+def test_window_map_is_the_y_of_forward(variant, count):
+    # The map runs alone, without the head, and gives forward's y bit for
+    # bit, for one window and for stacks around the evaluation chunk.
+    lay = make_layer("dihedral:4", variant, 3, count)
+    xs = make_windows(lay, count, count)
+    assert np.array_equal(lay.window_map(xs[0]), lay.forward(xs[0])[1]["y"])
+    assert np.array_equal(lay.window_map(xs), lay.forward(xs)[1]["y"])
+
+
 @SETTINGS
 @given(desc=st.sampled_from(DESCRIPTORS), dim=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1))

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from isoattn.attention import ChannelAttention, decompose_post, decompose_pre
+from isoattn.attention import ChannelAttention, decompose_post, decompose_pre, project
 from isoattn.groups import mirror_group, permute_rows, trivial_group
 from isoattn.irreps import projector_set
 from isoattn.layer import (
@@ -268,6 +268,33 @@ def test_backward_rejects_stale_cache():
         lay_b.backward(cache, np.ones(1))
 
 
+@pytest.mark.parametrize("shape, fill, message", [
+    ((), 0.0, "expected one 6x4 window or a stack of them, got shape ()"),
+    ((4,), 0.0, "expected one 6x4 window or a stack of them, got shape (4,)"),
+    ((1, 1, 6, 4), 0.0, "expected one 6x4 window or a stack of them, got shape (1, 1, 6, 4)"),
+    ((5, 4), 0.0, "input windows must be 6x4, got (5, 4)"),
+    ((2, 6, 3), 0.0, "input windows must be 6x4, got (6, 3)"),
+    ((0, 6, 4), 0.0, "no input windows"),
+    ((3, 6, 4), np.nan, "input window at index 2 has a non-finite feature"),
+    ((6, 4), np.inf, "input window at index 0 has a non-finite feature"),
+], ids=["scalar", "1-d", "4-d", "wrong-k", "wrong-d", "empty", "nan", "inf"])
+@pytest.mark.filterwarnings("error")
+def test_forward_rejects_bad_windows_before_any_kernel_pass(shape, fill, message, monkeypatch):
+    # A NaN window once reached the kernel, which refused it in its softmax
+    # after numpy warned in the q/k/v product.
+    lay = small_layer("pre", seed=16)
+    x = np.zeros(shape)
+    if x.size:
+        x.flat[-1] = fill
+
+    def no_pass(*args):
+        raise AssertionError("a pass was made")
+    monkeypatch.setattr("isoattn.layer._Pass", no_pass)
+    with pytest.raises(ValueError) as info:
+        lay.forward(x)
+    assert str(info.value) == f"forward: {message}"
+
+
 def _train_pass(lay, b):
     """A pass over b windows with its backward bound, made as train makes one."""
     ws = _Pass(lay, b, lay._stack)
@@ -277,7 +304,7 @@ def _train_pass(lay, b):
 
 def _pass_results(lay, ws, xs, dlogits):
     """Logits and flat weight gradient of one forward and backward through ws."""
-    logits = ws.forward(lay._project(xs, ws.px_buffer)).copy()
+    logits = ws.forward(project(lay._stack, xs, ws.px_buffer)).copy()
     ws.dlogits[...] = dlogits
     grad = np.empty_like(lay.params)
     ws.backward(lay._grad_views(grad))
@@ -312,7 +339,7 @@ def test_passes_are_freed_by_reference_counting_alone():
     try:
         for backward in (False, True):
             ws = _Pass(lay, 2, lay._stack)
-            ws.forward(lay._project(xs, ws.px_buffer))
+            ws.forward(project(lay._stack, xs, ws.px_buffer))
             if backward:
                 ws.make_backward(lay)
                 _pass_results(lay, ws, xs, dlogits)
@@ -543,6 +570,15 @@ def test_train_rejects_bad_window_shape_and_tracker_trials():
     assert "validation windows must be 4x4" in train_rejection(ds.train, val)
     cfg = TrainConfig(epochs=1, learning_rate=0.5, seed=3, tracker_trials=0)
     assert "tracker_trials" in train_rejection(ds.train, ds.val, cfg)
+    # A count that is not an integer is refused before the first epoch, not
+    # truncated or met as a TypeError halfway; so is a seed that is not one.
+    for name, value in (("epochs", 1.5), ("batch_size", 2.5), ("tracker_trials", 1.5)):
+        cfg = TrainConfig(**{"epochs": 1, "learning_rate": 0.5, "seed": 3, name: value})
+        assert train_rejection(ds.train, ds.val, cfg) == \
+            f"train: {name} must be an integer >= 1, got {value}"
+    cfg = TrainConfig(epochs=1, learning_rate=0.5, seed=1.5)
+    assert train_rejection(ds.train, ds.val, cfg) == \
+        "seed must be a 64-bit unsigned integer, got 1.5"
 
 
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -1.0])

@@ -10,7 +10,7 @@ import pytest
 from isoattn.attention import ChannelAttention, equivariance_report, project
 from isoattn.groups import from_descriptor, mirror_group, trivial_group
 from isoattn.irreps import projector_set
-from isoattn.layer import EVAL_CHUNK, VARIANTS, WindowAttentionLayer
+from isoattn.layer import EVAL_CHUNK, VARIANTS, WindowAttentionLayer, _Pass
 from isoattn.metrics import (
     ActivationReport,
     ActivationRow,
@@ -277,3 +277,32 @@ def test_activation_mapping_is_the_hand_mapped_computation_bit_for_bit(desc, var
         want = hand_mapped_activation(lay, *(s.features for s in sets))
         assert activation_mapping(lay, *sets) == want
         assert activation_mapping(lay, *(list(s) for s in sets)) == want
+
+
+class _HeadlessPass(_Pass):
+    """A layer pass whose head, the bound forward, must not run."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+
+        def forward(px):
+            raise AssertionError("the classifier head ran")
+        self.forward = forward
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_map_readers_never_run_the_head(variant, monkeypatch):
+    # window_map and activation_mapping read the map y and the channel
+    # weights; pooling, energies and logits are work neither needs.
+    ps = projector_set(mirror_group(6))
+    lay = WindowAttentionLayer.random(ps, 4, 1, variant, Rng(90))
+    xs = Rng(91).uniform(-1.0, 1.0, (EVAL_CHUNK + 1, 6, 4))
+    ys = [lay.forward(x)[1]["y"] for x in (xs[0], xs)]
+    want = hand_mapped_activation(lay, xs[:3], xs[3:])
+    monkeypatch.setattr("isoattn.layer._Pass", _HeadlessPass)
+    monkeypatch.setattr("isoattn.metrics._Pass", _HeadlessPass)
+    with pytest.raises(AssertionError, match="head ran"):
+        lay.forward(xs)
+    assert np.array_equal(lay.window_map(xs[0]), ys[0])
+    assert np.array_equal(lay.window_map(xs), ys[1])
+    assert activation_mapping(lay, xs[:3], xs[3:]) == want

@@ -136,6 +136,10 @@ def test_rng_seed_validation():
         Rng(-1)
     with pytest.raises(ValueError):
         Rng(2**64)
+    # A seed that is not an integer is refused, not truncated to seed 1.
+    with pytest.raises(ValueError, match="got 1.5"):
+        Rng(1.5)
+    assert Rng(np.uint64(7)).uniform(0.0, 1.0, 3).tolist() == Rng(7).uniform(0.0, 1.0, 3).tolist()
 
 
 # ---------- uniform_integer_rows against the row loop ----------
