@@ -26,9 +26,10 @@ A `ChannelAttention` is the workspace of one pass over stacks of one shape
 out= and in-place ufuncs in the order of operations of the plain formulas
 by a forward and a backward bound once, as closures over them. It is the
 kernel's only entry, and it checks the stacks it is given. Every caller
-makes one and calls its bound passes: the attention functions below (which
-take one window or a stack) make a fresh one per call and run its forward,
-so nothing they return is overwritten by a later call; the layer's pass
+makes one and calls its bound passes: the attention functions below (one
+window or a stack) share one entry that checks q, k and v (finite values
+included) and runs a fresh one's forward, so nothing they return is
+overwritten by a later call; the layer's pass
 makes one over its own q/k/v block and runs its forward and backward, or
 its window map alone (`isoattn check`, `metrics.activation_mapping`).
 """
@@ -43,14 +44,6 @@ import numpy as np
 from .groups import FiniteGroup, permute_rows
 from .irreps import ProjectorSet
 from .numerics import Rng, as_matrix, frobenius_sq, rand_matrix, softmax_columns, softmax_vjp
-
-
-def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q, k, v = (np.asarray(m, dtype=np.float64) for m in (q, k, v))
-    if q.ndim not in (2, 3) or 0 in q.shape or not (q.shape == k.shape == v.shape):
-        raise ValueError(f"attention: expected equal (k, d) or (B, k, d) q/k/v, got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    return q, k, v
 
 
 # ---------- the channel-attention kernel ----------
@@ -143,26 +136,40 @@ class ChannelAttention:
         self.backward = backward
 
 
-def _channels(q, k, v, stack) -> ChannelAttention:
-    # One window (k, d) or a stack (B, k, d) through a fresh kernel workspace.
-    att = ChannelAttention(*(project(stack, m.reshape(-1, *m.shape[-2:])) for m in (q, k, v)))
-    att.forward()
-    return att
-
-
-def _like(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # A kernel result (B, ...) with the leading window axis of the input q.
-    return a[0] if q.ndim == 2 else a
+def lift(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """x as a window stack, one window (k, d) as a stack of one whose results
+    are read back at index 0; and whether x was one window."""
+    return (x[None], True) if x.ndim == 2 else (x, False)
 
 
 # ---------- attention and decompositions of one window or a stack ----------
 #
 # q, k and v are one window (k, d) or a stack (B, k, d). Outputs, channel
-# outputs and channel weights carry the same leading axis as the input.
+# outputs and channel weights carry the same leading axis as the input; the
+# decompositions take the channel axis of a kernel array (..., C, n, x),
+# read back or not, to the front with swapaxes(0, -3).
+
+def _attend(q, k, v, ps: ProjectorSet | None = None, stack=None) -> tuple[ChannelAttention, bool]:
+    """The one-shot functions' entry: q, k and v as float64, checked, through
+    a fresh ChannelAttention over stack; and whether they were one window."""
+    q, k, v = qkv = [np.asarray(m, dtype=np.float64) for m in (q, k, v)]
+    if q.ndim not in (2, 3) or 0 in q.shape or not (q.shape == k.shape == v.shape):
+        raise ValueError(f"attention: expected equal (k, d) or (B, k, d) q/k/v, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    if ps is not None and q.shape[-2] != ps.window:
+        raise ValueError(f"decomposition: window is {ps.window}, input has {q.shape[-2]} rows")
+    for name, m in zip("qkv", qkv):
+        if not np.isfinite(m).all():
+            raise ValueError(f"attention: {name} has a non-finite entry")
+    (q, one), (k, _), (v, _) = map(lift, qkv)
+    att = ChannelAttention(project(stack, q), project(stack, k), project(stack, v))
+    att.forward()
+    return att, one
+
 
 def attention(q, k, v) -> np.ndarray:
-    q, k, v = _check_qkv(q, k, v)
-    return _like(_channels(q, k, v, None).total, q)
+    att, one = _attend(q, k, v)
+    return att.total[0] if one else att.total
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,32 +185,22 @@ class DecompositionOutput:
     channels: tuple[Channel, ...]
 
 
-def _check_window(q: np.ndarray, ps: ProjectorSet) -> None:
-    if q.shape[-2] != ps.window:
-        raise ValueError(f"decomposition: window is {ps.window}, input has {q.shape[-2]} rows")
-
-
 def decompose_post(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
     """Project the plain attention output onto each isotypic component."""
-    q, k, v = _check_qkv(q, k, v)
-    _check_window(q, ps)
-    att = _channels(q, k, v, None)
-    weights = _like(att.weights[:, 0], q)
-    outputs = (ps.stack @ att.total[:, None]).swapaxes(0, 1)
-    channels = tuple(Channel(label, _like(out, q), weights)
-                     for label, out in zip(ps.labels, outputs))
-    return DecompositionOutput(total=_like(att.total, q), channels=channels)
+    att, one = _attend(q, k, v, ps)
+    total, weights, outputs = (a[0] if one else a for a in
+                               (att.total, att.weights[:, 0], ps.stack @ att.total[:, None]))
+    channels = tuple(Channel(label, out, weights)
+                     for label, out in zip(ps.labels, outputs.swapaxes(0, -3)))
+    return DecompositionOutput(total, channels)
 
 
 def decompose_pre(q, k, v, ps: ProjectorSet) -> DecompositionOutput:
     """Run attention inside each isotypic component and sum the results."""
-    q, k, v = _check_qkv(q, k, v)
-    _check_window(q, ps)
-    att = _channels(q, k, v, ps.stack)
-    channels = tuple(Channel(label, _like(out, q), _like(wts, q))
-                     for label, out, wts in zip(ps.labels, att.outputs.swapaxes(0, 1),
-                                                att.weights.swapaxes(0, 1)))
-    return DecompositionOutput(total=_like(att.total, q), channels=channels)
+    att, one = _attend(q, k, v, ps, ps.stack)
+    total, weights, outputs = (a[0] if one else a for a in (att.total, att.weights, att.outputs))
+    channels = tuple(map(Channel, ps.labels, outputs.swapaxes(0, -3), weights.swapaxes(0, -3)))
+    return DecompositionOutput(total, channels)
 
 
 # ---------- equivariance of window maps ----------

@@ -198,8 +198,8 @@ def cmd_train(args) -> int:
         period = spec.period or synth.default_period(spec.k)
         g = groups.shift_group(spec.k, period)
     ps = irreps.projector_set(g)
-    _check_train_memory(spec, len(ps.stack) if args.variant == "pre" else 1,
-                        args.batch_size)
+    stack = layer.attending_stack(ps, args.variant)
+    _check_train_memory(spec, 1 if stack is None else len(stack), args.batch_size)
     ds = synth.make_dataset(spec)
     lay = layer.WindowAttentionLayer.random(ps, spec.alphabet_size, 1, args.variant,
                                             Rng(args.seed).derive(2))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ChannelAttention, equivariance_report, project
+from .attention import ChannelAttention, equivariance_report, lift, project
 from .irreps import ProjectorSet
 from .numerics import Matrix, Rng, as_matrix, rand_matrix
 from .synth import WindowSet
@@ -106,6 +106,12 @@ def _bce_grad_one(z, y):
     return (e if z < 0 else 1.0) / (e + 1.0) - y
 
 
+def attending_stack(projectors: ProjectorSet, variant: str) -> np.ndarray | None:
+    """The projector stack a variant attends over: every channel for pre,
+    else None, one unprojected channel."""
+    return projectors.stack if variant == "pre" else None
+
+
 def _weight(index: int) -> property:
     # A read-only attribute over one weight's view of the flat buffer.
     return property(lambda self: self._weights[index],
@@ -149,8 +155,7 @@ class WindowAttentionLayer:
             raise ValueError(f"w_energy must have shape {energy_shape}, got {w_energy.shape}")
         self.projectors = projectors
         self.variant = variant
-        # The stack the variant attends over: every channel for pre, else None.
-        self._stack = projectors.stack if variant == "pre" else None
+        self._stack = attending_stack(projectors, variant)
         weights = (w_q, w_k, w_v, w_out, w_energy)
         ends = np.cumsum([w.size for w in weights])
         self._layout = tuple((slice(end - w.size, end), w.shape)
@@ -219,10 +224,7 @@ class WindowAttentionLayer:
         """A fresh pass over one window (k, d) or a stack (B, k, d), checked for
         who; its channel stack px (P_c (x w) = (P_c x) w, so projecting x
         projects q, k and v); and whether x was one window."""
-        xs = np.asarray(x, dtype=np.float64)
-        one = xs.ndim == 2
-        if one:
-            xs = xs[None]
+        xs, one = lift(np.asarray(x, dtype=np.float64))
         if xs.ndim != 3:
             raise ValueError(f"{who}: expected one {self.window}x{self.feature_dim} window "
                              f"or a stack of them, got shape {xs.shape}")

@@ -64,6 +64,18 @@ def test_channel_attention_rejects_bad_stacks():
             ChannelAttention(qp, kp, vp)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_channel_attention_rejects_a_non_finite_score(bad):
+    # d = 1, so the score of key 0 with either query is bad itself: a -inf
+    # score must be rejected as well, though no column maximum holds it.
+    qp = np.ones((1, 1, 2, 1))
+    kp = np.array([bad, 1.0]).reshape(1, 1, 2, 1)
+    att = ChannelAttention(qp, kp, qp)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match=r"^softmax_rows: input contains NaN or Inf$"):
+        att.forward()
+
+
 def test_attention_equivariant_under_reversal():
     q, k, v = seeded_qkv(4, 4, 8)
     h = [3, 2, 1, 0]
@@ -77,6 +89,64 @@ def test_attention_shape_validation():
         attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         attention(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)))
+
+
+ONE_SHOT = (("attention", lambda q, k, v, ps: attention(q, k, v)),
+            ("decompose_pre", decompose_pre), ("decompose_post", decompose_post))
+
+
+@pytest.mark.parametrize("fn", [f for _, f in ONE_SHOT], ids=[n for n, _ in ONE_SHOT])
+@pytest.mark.parametrize("shapes", [
+    ((2, 3), (1, 2, 3), (2, 3)),  # mixed rank: one window is not a stack of one
+    ((3,), (3,), (3,)),
+    ((1, 1, 2, 3), (1, 1, 2, 3), (1, 1, 2, 3)),
+    ((0, 2, 3), (0, 2, 3), (0, 2, 3)),
+    ((2, 3), (2, 4), (2, 3)),
+], ids=["mixed-rank", "1-D", "4-D", "empty-stack", "unequal-d"])
+def test_one_shot_functions_reject_bad_shapes_word_for_word(fn, shapes):
+    ps = projector_set(mirror_group(2))
+    q, k, v = (np.zeros(s) for s in shapes)
+    expected = (f"attention: expected equal (k, d) or (B, k, d) q/k/v, got "
+                f"{shapes[0]}, {shapes[1]}, {shapes[2]}")
+    with pytest.raises(ValueError) as info:
+        fn(q, k, v, ps)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("fn", [decompose_pre, decompose_post])
+@pytest.mark.parametrize("shape", [(3, 2), (4, 3, 2)])
+def test_decompositions_reject_a_wrong_window_word_for_word(fn, shape):
+    ps = projector_set(mirror_group(2))
+    q = np.zeros(shape)
+    with pytest.raises(ValueError) as info:
+        fn(q, q, q, ps)
+    assert str(info.value) == "decomposition: window is 2, input has 3 rows"
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("reached the kernel")
+
+
+@pytest.mark.parametrize("fn", [f for _, f in ONE_SHOT], ids=[n for n, _ in ONE_SHOT])
+@pytest.mark.parametrize("name", ["q", "k", "v"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+def test_one_shot_functions_reject_a_non_finite_input(fn, name, bad, shape, monkeypatch):
+    # Rejected before any kernel pass, so no numpy warning is raised either.
+    monkeypatch.setattr("isoattn.attention.ChannelAttention", refuse)
+    qkv = {n: np.ones(shape) for n in "qkv"}
+    qkv[name][..., -1, 0] = bad
+    with pytest.raises(ValueError) as info:
+        fn(qkv["q"], qkv["k"], qkv["v"], projector_set(mirror_group(2)))
+    assert str(info.value) == f"attention: {name} has a non-finite entry"
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 2), (5, 2), (4, 7, 2)])
+def test_attention_takes_any_window_length(shape):
+    # Plain attention has no projector set, so no window to match.
+    q, k, v = (rand_matrix(Rng(i), int(np.prod(shape[:-1])), shape[-1], 1.0).reshape(shape)
+               for i in range(3))
+    assert attention(q, k, v).shape == shape
 
 
 def test_post_total_is_plain_attention():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import runpy
 import warnings
 
 import numpy as np
@@ -444,6 +445,31 @@ def test_train_above_the_memory_budget_is_a_usage_error(settings, message, tmp_p
     code, text, err = run(capsys, "train", *settings, "--out", str(out))
     assert (code, text, err) == (2, "", f"error: {message}, above the 256 MiB budget\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rule, settings, message", [
+    # Every channel for baseline: its evaluation chunks take pre's 57 channels.
+    (lambda ps, variant: ps.stack, ["--variant", "baseline", "--n", "400"],
+     "the attention weights of one kernel pass (64, 57, 113, 113) would take 355.4 MiB"),
+    # One channel for pre: its training stack shrinks to baseline's.
+    (lambda ps, variant: None, ["--variant", "pre", "--n", "100000"],
+     "the training stack (80000, 1, 113, 4) would take 275.9 MiB"),
+])
+def test_the_memory_budget_counts_the_layer_attending_channels(rule, settings, message,
+                                                               tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("isoattn.layer.attending_stack", rule)
+    monkeypatch.setattr("isoattn.cli.synth.make_dataset", refuse)
+    code, text, err = run(capsys, "train", "--task", "cyclic", "--k", "113", *settings,
+                          "--out", str(tmp_path / "m.jsonl"))
+    assert (code, text, err) == (2, "", f"error: {message}, above the 256 MiB budget\n")
+
+
+def test_python_m_isoattn_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["isoattn", "info", "--group", "mirror:6"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("isoattn", run_name="__main__")
+    assert info.value.code == 0
+    assert "group mirror:6" in capsys.readouterr().out.splitlines()
 
 
 def test_readme_train_settings_run_within_the_memory_budget(tmp_path, capsys):

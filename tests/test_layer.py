@@ -19,6 +19,7 @@ from isoattn.layer import (
     _Pass,
     _bce_grad,
     _bce_grad_one,
+    attending_stack,
     finite_diff_check,
     loss_bce,
     train,
@@ -159,6 +160,18 @@ def test_parameter_shape_parity_across_variants():
         shapes.add((lay.w_q.shape, lay.w_k.shape, lay.w_v.shape, lay.w_out.shape,
                     lay.w_energy.shape))
     assert len(shapes) == 1
+
+
+def test_the_layer_attends_over_the_stack_of_its_variant_rule(monkeypatch):
+    assert attending_stack(Z2_K6, "pre") is Z2_K6.stack
+    assert attending_stack(Z2_K6, "baseline") is None and attending_stack(Z2_K6, "post") is None
+    for variant in VARIANTS:
+        lay = WindowAttentionLayer.random(Z2_K6, 3, 1, variant, Rng(1))
+        assert lay._stack is attending_stack(Z2_K6, variant)
+    monkeypatch.setattr("isoattn.layer.attending_stack", lambda ps, variant: ps.stack)
+    lay = WindowAttentionLayer.random(Z2_K6, 3, 1, "baseline", Rng(1))
+    assert lay._stack is Z2_K6.stack
+    assert lay.forward(np.ones((6, 3)))[1]["attention"].weights.shape == (1, 2, 6, 6)
 
 
 def test_weights_are_views_into_the_flat_buffer():

@@ -49,6 +49,8 @@ def test_softmax_rejects_non_finite():
         softmax_rows([[0.0, float("nan")]])
     with pytest.raises(ValueError):
         softmax_rows([[0.0, float("inf")]])
+    with pytest.raises(ValueError, match=r"^softmax_rows: input contains NaN or Inf$"):
+        softmax_rows([[0.0, float("-inf")]])
 
 
 def test_softmax_permutation_conjugation_all_s4():
