@@ -37,6 +37,7 @@ its window map alone (`isoattn check`, `metrics.activation_mapping`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,9 +251,12 @@ def equivariance_report(fn, g: FiniteGroup, feature_dim: int, trials: int,
     trial draws one window x and evaluates its |G| images action(h) x
     together, in calls of at most max(1, 4096 // k^2) windows; fn(x) is the
     identity element's slot. Any non-finite error makes max_error non-finite.
+    trials must be an integer >= 1, checked before anything is drawn; the
+    report holds it as a Python int.
     """
-    if trials < 1:
-        raise ValueError(f"equivariance_report: trials must be >= 1, got {trials}")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"equivariance_report: trials must be an integer >= 1, got {trials!r}")
+    trials = int(trials)
     # Row i is h_i^-1, so x[inv] stacks action(h_i) x = x[h_i^-1] for every i.
     inv = g.inverse_perm
     chunk = max(1, _REPORT_CHUNK // g.degree ** 2)

@@ -159,7 +159,7 @@ def _cayley_by_lookup(perm: np.ndarray) -> np.ndarray:
     rows = max(1, _LOOKUP_BUDGET // (n * k))
     table = np.empty((n, n), dtype=np.int64)
     for start in range(0, n, rows):
-        block = perm[start:start + rows][:, perm].reshape(-1, k)
+        block = np.take(perm[start:start + rows], perm, axis=1).reshape(-1, k)
         codes = _row_codes(np.concatenate([perm, block]), k)
         order = np.argsort(codes[:n])
         known = codes[:n][order]
@@ -329,28 +329,34 @@ class HomomorphismReport:
 def verify_homomorphism(g: FiniteGroup) -> HomomorphismReport:
     """Check P(h1 h2) = P(h1) P(h2) for every pair, exactly.
 
-    P(h_i) P(h_j) = P(h_i o h_j), so column j of the table holds where the
-    composed mappings perm[:, perm[j]] equal perm[cayley[:, j]]. The columns
-    are checked a block at a time, at most _LOOKUP_BUDGET products per block,
-    on a copy of perm in the narrowest dtype that holds each of its entries
-    exactly. A block gathers with its own rows of perm only: np.take copies a
-    read-only index whole, so gathering with all of perm would copy it for
-    every block. Violations are listed row by row, (i, j) in increasing order.
+    P(h_i) P(h_j) = P(h_i o h_j), so pair (i, j) holds where the composed
+    mapping perm[i, perm[j, x]] equals perm[cayley[i, j], x] at every
+    position x. The check reads a transposed copy of perm, t[x, i] =
+    perm[i, x], in the narrowest dtype that holds each entry exactly; the
+    copy is one pass. The table columns are checked a block at a time, at
+    most _LOOKUP_BUDGET products per block: both sides are gathered from t
+    as (degree, columns, order) arrays, and a pair fails if any position
+    disagrees, an elementwise or over the leading axis rather than one short
+    reduction per pair. A block gathers with its own rows of perm only:
+    np.take copies a read-only index whole, so gathering with all of perm
+    would copy it for every block. Violations are listed row by row, (i, j)
+    in increasing order.
     """
     if g.order > _MAX_BUILT_ORDER:
         raise ValueError(f"verify_homomorphism: order {g.order} exceeds the cap "
                          f"{_MAX_BUILT_ORDER}")
     perm = g.perm
     n, k = perm.shape
-    narrow = perm.astype(np.result_type(np.min_scalar_type(perm.min()),
-                                        np.min_scalar_type(perm.max())))
+    t = perm.T.astype(np.result_type(np.min_scalar_type(perm.min()),
+                                     np.min_scalar_type(perm.max())), order="C")
     cols = max(1, _LOOKUP_BUDGET // (n * k))
-    bad = np.empty((n, n), dtype=bool)
+    bad = np.empty((n, n), dtype=bool)  # bad[j, i]: pair (i, j) fails
     for start in range(0, n, cols):
         block = slice(start, start + cols)
-        products = np.take(narrow, perm[block], axis=1)
-        bad[:, block] = (products != narrow[g.cayley[:, block]]).any(axis=2)
-    violations = tuple(map(tuple, np.argwhere(bad).tolist()))
+        products = np.take(t, perm[block].T, axis=0)
+        targets = np.take(t, g.cayley[:, block].T, axis=1)
+        bad[block] = np.logical_or.reduce(products != targets, axis=0)
+    violations = tuple(map(tuple, np.argwhere(bad.T).tolist()))
     return HomomorphismReport(pairs_checked=n * n, violations=violations)
 
 

@@ -125,12 +125,17 @@ def _cycle_type(p: list[int]) -> tuple[int, ...]:
 
 
 def _symmetric_irreps(g: FiniteGroup) -> list[RealIrrep]:
+    # Characters are class functions: one cycle type per conjugacy class, read
+    # off its first member, then spread over every member of the class.
     table = _SYMMETRIC_TABLES[g.n]
-    types = [_cycle_type(row) for row in g.perm.tolist()]
-    out = []
-    for label, dim, by_type in table:
-        out.append(RealIrrep(label, dim, tuple(float(by_type[t]) for t in types)))
-    return out
+    types = [_cycle_type(g.perm[members[0]].tolist()) for members in g.classes]
+    class_of = np.empty(g.order, dtype=np.intp)
+    class_of[np.concatenate(g.classes)] = np.repeat(np.arange(len(types)),
+                                                    [len(members) for members in g.classes])
+    values = np.array([[by_type[t] for t in types] for _, _, by_type in table],
+                      dtype=np.float64)[:, class_of]
+    return [RealIrrep(label, dim, tuple(row))
+            for (label, dim, _), row in zip(table, values.tolist())]
 
 
 def real_irreps(g: FiniteGroup) -> tuple[RealIrrep, ...]:
@@ -299,7 +304,8 @@ def verify_projector_set(ps: ProjectorSet) -> ProjectorSetReport:
         completeness=math.sqrt(frobenius_sq(st.sum(axis=0) - np.eye(k))),
         symmetry=_max_norm([_squared_norms(p - p.swapaxes(1, 2)) for p in chunks]),
         commutation=_max_norm([
-            _squared_norms(p[:, :, fwd[h:h + hs]].swapaxes(1, 2) - p[:, back[h:h + hs]])
+            _squared_norms(np.take(p, fwd[h:h + hs], axis=2).swapaxes(1, 2)
+                           - np.take(p, back[h:h + hs], axis=1))
             for p in chunks for h in range(0, len(fwd), hs)]))
 
 

@@ -1,6 +1,7 @@
 """Scaled dot-product attention, channel decompositions, equivariance."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -281,6 +282,27 @@ def test_equivariance_report_attention():
     assert report.max_error < 1e-12
     assert report.trials == 100
     assert report.group_order == 2
+
+
+@pytest.mark.parametrize("trials", [0, -1, 1.5, 2.0, "2", None, np.float64(3.0)])
+def test_equivariance_report_rejects_a_non_integer_or_small_trials(trials):
+    # train's rule for tracker_trials; the map is never called and the
+    # stream is untouched, so the next draw is the stream's first.
+    calls = []
+    rng = Rng(19)
+    with pytest.raises(ValueError, match="^equivariance_report: trials must be an integer "
+                       + r">= 1, got " + re.escape(repr(trials)) + "$"):
+        equivariance_report(calls.append, cyclic_group(2), 3, trials, rng)
+    assert not calls
+    assert np.array_equal(rand_matrix(rng, 2, 3, 1.0), rand_matrix(Rng(19), 2, 3, 1.0))
+
+
+@pytest.mark.parametrize("trials", [True, np.int64(2), np.uint8(3)])
+def test_equivariance_report_stores_integer_trials_as_int(trials):
+    fn = lambda m: attention(m, m, m)
+    report = equivariance_report(fn, mirror_group(4), 3, trials, Rng(20))
+    assert type(report.trials) is int and report.trials == int(trials)
+    assert report == equivariance_report(fn, mirror_group(4), 3, int(trials), Rng(20))
 
 
 def test_equivariance_report_post_d4():

@@ -460,6 +460,57 @@ def test_blocked_check_is_the_per_row_check(budget, monkeypatch):
         assert reports[id(g)].violations == brute_violations(g, g.cayley)
 
 
+def ref_blocked_verify_homomorphism(g):
+    # The order-major block check: a narrowed copy of perm, one (order,
+    # columns, degree) gather of products and targets per block of table
+    # columns, and one any() per pair over its degree positions.
+    perm = g.perm
+    n, k = perm.shape
+    narrow = perm.astype(np.result_type(np.min_scalar_type(perm.min()),
+                                        np.min_scalar_type(perm.max())))
+    cols = max(1, groups_module._LOOKUP_BUDGET // (n * k))
+    bad = np.empty((n, n), dtype=bool)
+    for start in range(0, n, cols):
+        block = slice(start, start + cols)
+        products = np.take(narrow, perm[block], axis=1)
+        bad[:, block] = (products != narrow[g.cayley[:, block]]).any(axis=2)
+    violations = tuple(map(tuple, np.argwhere(bad).tolist()))
+    return HomomorphismReport(pairs_checked=n * n, violations=violations)
+
+
+def variants_of(g):
+    # g itself, every third table row shuffled, one table row rotated, and
+    # (for order >= 6) two rows of perm swapped.
+    rng = np.random.default_rng(g.order)
+    shuffled, rotated = np.array(g.cayley), np.array(g.cayley)
+    for i in range(0, g.order, 3):
+        shuffled[i] = rng.permutation(shuffled[i])
+    rotated[g.order // 2] = np.roll(rotated[g.order // 2], 1)
+    out = [g] + [dataclasses.replace(g, cayley=t) for t in (shuffled, rotated)]
+    if g.order >= 6:
+        out.append(with_rows_swapped(g))
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+@pytest.mark.parametrize("g", ROSTER + [from_descriptor("cyclic:120"),
+                                        from_descriptor("dihedral:120")],
+                         ids=lambda g: g.descriptor)
+def test_degree_major_check_is_the_order_major_block_check(g, budget, monkeypatch):
+    # Same violations, in the same (i, j) order, and the same pair count as
+    # the block check that reduced each pair's short row of positions.
+    monkeypatch.setattr(groups_module, "_LOOKUP_BUDGET", budget)
+    for variant in variants_of(g):
+        rep = verify_homomorphism(variant)
+        assert rep == ref_blocked_verify_homomorphism(variant)
+        assert rep.pairs_checked == g.order ** 2
+    assert verify_homomorphism(g).ok
+    if g.order > 1 and len(np.unique(g.perm, axis=0)) == g.order:
+        # A faithful action tells every element apart, so the rotated row,
+        # whose entries all change, breaks every pair in it.
+        assert len(verify_homomorphism(variants_of(g)[2]).violations) == g.order
+
+
 def test_homomorphism_check_memory_is_bounded():
     # dihedral:120 fits one table column of products per block: order x
     # degree = 28,800 entries of one byte each. The check holds the narrow
@@ -746,6 +797,33 @@ FAMILIES = {
 def test_array_builders_match_the_per_element_reference(family):
     for build, ref, args in FAMILIES[family]:
         assert_matches_reference(build(*args), ref(*args))
+
+
+def ref_fancy_lookup(perm):
+    # The blocked lookup with each block's products gathered by fancy indexing.
+    n, k = perm.shape
+    rows = max(1, groups_module._LOOKUP_BUDGET // (n * k))
+    table = np.empty((n, n), dtype=np.int64)
+    for start in range(0, n, rows):
+        block = perm[start:start + rows][:, perm].reshape(-1, k)
+        codes = _row_codes(np.concatenate([perm, block]), k)
+        order = np.argsort(codes[:n])
+        known = codes[:n][order]
+        pos = np.searchsorted(known, codes[n:]).clip(max=n - 1)
+        table[start:start + rows] = np.where(known[pos] == codes[n:], order[pos],
+                                             -1).reshape(-1, n)
+    return table
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+def test_lookup_table_bytes_match_the_fancy_index_gather(budget, monkeypatch):
+    monkeypatch.setattr(groups_module, "_LOOKUP_BUDGET", budget)
+    perms = [symmetric_group(k).perm for k in range(1, 6)]
+    perms += [from_permutations(custom).perm for custom in CUSTOM]
+    for perm in perms + [np.array(perm) for perm in perms[:5]]:  # read-only and writeable
+        table = _cayley_by_lookup(perm)
+        ref = ref_fancy_lookup(perm)
+        assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes()
 
 
 def closure(gens, degree):

@@ -19,8 +19,10 @@ from isoattn.groups import (
     trivial_group,
 )
 from isoattn.irreps import (
+    _SYMMETRIC_TABLES,
     ProjectorSet,
     ProjectorSetReport,
+    _cycle_type,
     _projectors,
     load_projectors,
     projector_set,
@@ -97,6 +99,20 @@ def test_characters_constant_on_classes():
             for cls in g.classes:
                 vals = {irr.characters[i] for i in cls}
                 assert max(vals) - min(vals) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_symmetric_characters_per_class_are_the_per_element_ones(k):
+    # Reference: one cycle type per element, each value read off the table.
+    g = symmetric_group(k)
+    types = [_cycle_type(row) for row in g.perm.tolist()]
+    ref = [(label, dim, tuple(float(by_type[t]) for t in types))
+           for label, dim, by_type in _SYMMETRIC_TABLES[k]]
+    ours = [(ir.label, ir.dim, ir.characters) for ir in real_irreps(g)]
+    assert ours == ref
+    assert all(type(v) is float for _, _, chars in ours for v in chars)
+    assert [[v.hex() for v in chars] for _, _, chars in ours] == \
+        [[v.hex() for v in chars] for _, _, chars in ref]
 
 
 def test_one_dim_characters_orthogonal_to_trivial():
